@@ -12,8 +12,7 @@ descriptions and an exact finite-group verifier.
 from .abelian import CenterSubgroup, FiniteAbelianGroup
 from .boundvalue import BoundValue
 from .calculus import (BoundTriple, DerivationTrace, aut0_jordan_bound,
-                       aut0_rank_bound, aut0_triple, bir_jordan_bound,
-                       bir_rank_bound, bir_triple, combine_extension,
+                       aut0_rank_bound, aut0_triple, combine_extension,
                        combine_product, connected_jordan_bound,
                        connected_rank_bound, connected_triple,
                        gl_jordan_bound, leaf_triple, make_triple,

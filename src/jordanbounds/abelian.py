@@ -10,6 +10,7 @@ own coordinate block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,10 +44,6 @@ def add_mod(a: Element, b: Element, moduli: Moduli) -> Element:
     return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
 
-def neg_mod(a: Element, moduli: Moduli) -> Element:
-    return tuple((-x) % m for x, m in zip(a, moduli))
-
-
 def element_order(a: Element, moduli: Moduli) -> int:
     out = 1
     for x, m in zip(a, moduli):
@@ -72,14 +69,13 @@ def subgroup_closure(gens: Iterable[Element], moduli: Moduli) -> FrozenSet[Eleme
     return frozenset(elems)
 
 
-_SUBGROUP_CACHE: Dict[Tuple[Moduli, Caps], List[FrozenSet[Element]]] = {}
-
-
 def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[Element]]:
     """Every subgroup, as an element set, in a deterministic order."""
-    cached = _SUBGROUP_CACHE.get((moduli, caps))
-    if cached is not None:
-        return cached
+    return _all_subgroups(moduli, caps)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
     order = order_of_moduli(moduli)
     if order > caps.center_order:
         raise CapExceeded("center order", caps.center_order, observed=order,
@@ -109,9 +105,7 @@ def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[E
                         raise CapExceeded("subgroup count", caps.subgroup_count,
                                           observed=len(subs), module="abelian")
         frontier = new
-    result = sorted(subs, key=lambda s: (len(s), sorted(s)))
-    _SUBGROUP_CACHE[(moduli, caps)] = result
-    return result
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def minimal_generators(elems: FrozenSet[Element], moduli: Moduli) -> Tuple[Element, ...]:

@@ -23,14 +23,22 @@ import mpmath
 from .caps import DEFAULT_CAPS
 
 
-def _allow_str_digits(n: int) -> None:
-    # the interpreter limits int -> str conversions; printing big bounds in
-    # decimal is a designed feature up to the configured digit cap
-    try:
-        if sys.get_int_max_str_digits() < n + 10:
-            sys.set_int_max_str_digits(n + 10)
-    except AttributeError:  # very old interpreters have no limit
-        pass
+def decimal(value: int) -> str:
+    """Exact decimal string of an integer of any size.
+
+    The interpreter limits int -> str conversions; printing big bounds in
+    decimal is a designed feature, so a non-zero limit is raised as far as
+    this value needs.  A limit of 0 already means no limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is not None:  # Python 3.10 releases before the limit have none
+        limit = get_limit()
+        # decimal digits <= bits * log10(2) + 1 <= bits // 3 + 1 past 21 bits,
+        # and a non-zero limit is at least 640
+        need = value.bit_length() // 3 + 1
+        if limit and need > limit:
+            sys.set_int_max_str_digits(need)
+    return str(value)
 
 
 def _coprime_basis(nums: Iterable[int]) -> List[int]:
@@ -253,9 +261,9 @@ class BoundValue:
             return "inf"
         value = self.to_int(max_digits)
         if value is not None:
-            _allow_str_digits(self.digits10_interval()[1])
-            return str(value)
-        sym = " * ".join(f"{b}^{e}" if e != 1 else str(b) for b, e in self._factors)
+            return decimal(value)
+        sym = " * ".join(f"{decimal(b)}^{decimal(e)}" if e != 1 else decimal(b)
+                         for b, e in self._factors)
         lo, hi = self.log10_interval()
         return f"{sym} (~10^[{lo:.6g}, {hi:.6g}])"
 
@@ -271,14 +279,12 @@ class BoundValue:
         if self._infinite:
             return {"infinite": True, "factors": None, "log10": None, "decimal": None}
         value = self.to_int(max_digits)
-        if value is not None:
-            _allow_str_digits(self.digits10_interval()[1])
         lo, hi = self.log10_interval()
         return {
             "infinite": False,
-            "factors": [[str(b), str(e)] for b, e in self._factors],
+            "factors": [[decimal(b), decimal(e)] for b, e in self._factors],
             "log10": [lo, hi],
-            "decimal": None if value is None else str(value),
+            "decimal": None if value is None else decimal(value),
         }
 
 

@@ -18,6 +18,7 @@ computation carries a replayable derivation trace.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -150,7 +151,7 @@ TRIVIAL_TRIPLE = BoundTriple(BV_ONE, ExtNat(0), ExtNat(1))
 
 @dataclass(frozen=True)
 class TraceStep:
-    op: str           # key into the replay registry
+    op: str           # key into the replay table
     rule: str         # short rule label
     statement: str    # the mathematical fact used, self-contained
     inputs: tuple
@@ -181,12 +182,14 @@ class DerivationTrace:
         return self.steps[-1].output if self.steps else None
 
     def replay(self):
-        """Recompute every step through the registry; raises on mismatch."""
+        """Recompute every step through the replay table; raises on mismatch."""
         for step in self.steps:
             fn = _REPLAY.get(step.op)
             if fn is None:
                 raise KeyError(f"no replay handler for op {step.op!r}")
             redone = fn(*step.inputs)
+            if isinstance(redone, tuple):  # a (value, trace) pair
+                redone = redone[0]
             if not _same(redone, step.output):
                 raise AssertionError(f"trace step {step.op} does not replay: "
                                      f"{redone} != {step.output}")
@@ -200,21 +203,6 @@ def _same(a, b) -> bool:
     if isinstance(a, BoundTriple) and isinstance(b, BoundTriple):
         return a.j == b.j and a.rkf == b.rkf and a.bd == b.bd
     return a == b
-
-
-_REPLAY: Dict[str, Callable] = {}
-
-
-def _replayable(op: str):
-    def hook(fn):
-        _REPLAY[op] = fn
-        return fn
-    return hook
-
-
-_REPLAY["gl_jordan_bound"] = gl_jordan_bound
-_REPLAY["minkowski_bound"] = minkowski_bound
-_REPLAY["semisimple_jordan_bound"] = semisimple_jordan_bound
 
 
 # --- leaves ------------------------------------------------------------------
@@ -242,7 +230,6 @@ _LEAF_STATEMENTS = {
 }
 
 
-@_replayable("leaf")
 def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple:
     """Ground constants for the atomic group kinds."""
     param = int(param)
@@ -283,11 +270,6 @@ def leaf_with_trace(kind: str, param: int, caps: Caps = DEFAULT_CAPS
 
 
 # --- combination rules --------------------------------------------------------
-
-
-@_replayable("combine_extension")
-def _extension_triple(normal: BoundTriple, quotient: BoundTriple) -> BoundTriple:
-    return combine_extension(normal, quotient)[0]
 
 
 def combine_extension(normal: BoundTriple, quotient: BoundTriple
@@ -355,11 +337,6 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
     return out, trace
 
 
-@_replayable("combine_product")
-def _product_triple(a: BoundTriple, b: BoundTriple) -> BoundTriple:
-    return combine_product(a, b)[0]
-
-
 def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, DerivationTrace]:
     """Fold a direct product: all three bounds are multiplicative except the
     rank, which is additive."""
@@ -375,7 +352,6 @@ def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, Deriva
 # --- reductive and connected closed forms --------------------------------------
 
 
-@_replayable("reductive_rank_bound")
 def reductive_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Finite abelian subgroups of a connected reductive group of dimension
     <= n need at most n + embedding_dim(n) generators: the central torus
@@ -383,7 +359,6 @@ def reductive_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     return ExtNat(n + embedding_dim(n, caps))
 
 
-@_replayable("reductive_jordan_bound")
 def reductive_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
     """Jordan bound for a connected reductive group whose derived subgroup
     has dimension <= n, and for every quotient of a connected linear group
@@ -391,7 +366,6 @@ def reductive_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
     return semisimple_jordan_bound(n, caps)
 
 
-@_replayable("rank_bound_mod_commutator")
 def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Rank bound after quotienting a connected group by the central
     commutator subgroup of a finite subgroup: with reductive part of
@@ -401,7 +375,6 @@ def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> ExtN
     return ExtNat(2 * m + n + embedding_dim(n, caps))
 
 
-@_replayable("central_commutator_order")
 def central_commutator_order(n: int) -> BoundValue:
     """Order bound n^n for the central commutator subgroup produced by the
     index-reduction step inside a connected group of reductive dimension n;
@@ -410,11 +383,6 @@ def central_commutator_order(n: int) -> BoundValue:
     if n == 0:
         return BV_ONE
     return BoundValue.from_int(n).pow(n)
-
-
-@_replayable("scale")
-def _scale(a: BoundValue, b: BoundValue) -> BoundValue:
-    return a * b
 
 
 def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
@@ -449,7 +417,7 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
     abelianised = BoundTriple(BV_ONE, rank, INF)
     combined, ext_trace = combine_extension(commutator_leaf, abelianised)
     trace.extend(ext_trace)
-    total = _scale(index_bound, combined.j)
+    total = index_bound * combined.j
     trace.add("scale", "index times subgroup bound",
               "a subgroup of index at most s with Jordan bound j gives the "
               "whole group Jordan bound s * j",
@@ -481,12 +449,6 @@ def connected_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
     return value, trace
 
 
-@_replayable("connected_jordan_bound")
-def _connected_jordan_value(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
-    return connected_jordan_bound(n, caps)[0]
-
-
-@_replayable("connected_rank_bound")
 def connected_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Rank bound 3n + embedding_dim(n) for connected groups of dimension n."""
     if n < 0:
@@ -507,20 +469,13 @@ def connected_triple(n: int, caps: Caps = DEFAULT_CAPS
     return triple, trace
 
 
-@_replayable("connected_triple")
-def _connected_triple_value(n: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple:
-    return connected_triple(n, caps)[0]
-
-
 # --- automorphism groups of projective varieties -------------------------------
 
 
-@_replayable("reductive_dim_bound")
 def _reductive_dim_bound(n: int) -> int:
     return 4 * n * n
 
 
-@_replayable("antiaffine_dim_bound")
 def _antiaffine_dim_bound(n: int) -> int:
     return 2 * n
 
@@ -561,19 +516,13 @@ def aut0_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
     return value, trace
 
 
-@_replayable("aut0_jordan_bound")
-def _aut0_jordan_value(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
-    return aut0_jordan_bound(n, caps)[0]
-
-
-@_replayable("aut0_rank_bound")
 def aut0_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Rank bound 4n + t + embedding_dim(t), t = 4n^2, for the connected
     automorphism group of an n-dimensional projective variety."""
     if n < 1:
         raise ValueError("variety dimension must be positive")
-    t = 4 * n * n
-    return rank_bound_mod_commutator(t, 2 * n, caps)
+    return rank_bound_mod_commutator(_reductive_dim_bound(n),
+                                     _antiaffine_dim_bound(n), caps)
 
 
 def aut0_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, DerivationTrace]:
@@ -585,22 +534,18 @@ def aut0_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, Derivat
     return triple, trace
 
 
-@_replayable("aut0_triple")
-def _aut0_triple_value(n: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple:
-    return aut0_triple(n, caps)[0]
-
-
-def bir_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
-                     ) -> Tuple[BoundValue, DerivationTrace]:
-    """Same bound for any connected algebraic group inside the birational
-    automorphism group of an n-dimensional variety: such a group acts
-    biregularly on a projective model of the same dimension."""
-    return aut0_jordan_bound(n, caps)
-
-
-def bir_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
-    return aut0_rank_bound(n, caps)
-
-
-def bir_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, DerivationTrace]:
-    return aut0_triple(n, caps)
+# the op names recorded in traces, each mapped to the function that recomputes
+# the step's output from its inputs
+_REPLAY: Dict[str, Callable] = {
+    "leaf": leaf_triple,
+    "combine_extension": combine_extension,
+    "combine_product": combine_product,
+    "central_commutator_order": central_commutator_order,
+    "rank_bound_mod_commutator": rank_bound_mod_commutator,
+    "scale": operator.mul,
+    "semisimple_jordan_bound": semisimple_jordan_bound,
+    "connected_triple": connected_triple,
+    "reductive_dim_bound": _reductive_dim_bound,
+    "antiaffine_dim_bound": _antiaffine_dim_bound,
+    "aut0_triple": aut0_triple,
+}

@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import calculus, dsl, enumeration, permgroups
+from .boundvalue import decimal
 from .caps import Caps, CapExceeded, DEFAULT_CAPS, load_caps
 from .rootsystems import admissible_types, catalog_entry
 
@@ -137,13 +138,13 @@ def _run(args, caps: Caps) -> int:
         return 0
 
     if args.verb == "cnbound":
-        value = calculus.gl_jordan_bound(args.n)
-        _emit(args, {"command": "cnbound", "n": args.n, "value": str(value)}, [str(value)])
+        value = decimal(calculus.gl_jordan_bound(args.n))
+        _emit(args, {"command": "cnbound", "n": args.n, "value": value}, [value])
         return 0
 
     if args.verb == "minkowski":
-        value = calculus.minkowski_bound(args.n)
-        _emit(args, {"command": "minkowski", "n": args.n, "value": str(value)}, [str(value)])
+        value = decimal(calculus.minkowski_bound(args.n))
+        _emit(args, {"command": "minkowski", "n": args.n, "value": value}, [value])
         return 0
 
     if args.verb == "sbound":
@@ -168,9 +169,11 @@ def _run(args, caps: Caps) -> int:
                     f"Rk_f <= {triple.rkf}",
                     f"Bd <= {triple.bd}"]
         else:
+            # a connected subgroup of Bir(X) acts biregularly on a projective
+            # model of the same dimension, so bir shares the aut0 bound
             fn = {"connected": calculus.connected_triple,
                   "aut0": calculus.aut0_triple,
-                  "bir": calculus.bir_triple}[args.what]
+                  "bir": calculus.aut0_triple}[args.what]
             triple, trace = fn(args.dim, caps)
             payload = {"command": f"bound {args.what}", "dim": args.dim,
                        "j": triple.j.to_json(digits), "rkf": str(triple.rkf)}

@@ -331,7 +331,9 @@ def _evaluate(expr: GroupExpr, caps: Caps, path: str
         if isinstance(expr, Aut0):
             return calculus.aut0_triple(expr.dim, caps)
         if isinstance(expr, BirConnected):
-            return calculus.bir_triple(expr.dim, caps)
+            # a connected subgroup of Bir(X) acts biregularly on a projective
+            # model of the same dimension
+            return calculus.aut0_triple(expr.dim, caps)
     except CapExceeded as exc:
         raise CapExceeded(f"{exc.what} at node {path} ({print_expr(expr)})",
                           exc.limit, exc.observed, exc.module) from None

@@ -10,6 +10,7 @@ possible center order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -178,9 +179,6 @@ def isogeny_classes(base: SemisimpleType, caps: Caps = DEFAULT_CAPS) -> List[Iso
 # --- minimal faithful dimension ------------------------------------------
 
 
-_min_faithful_cache: Dict[Tuple[SemisimpleType, FrozenSet[Element], int], int] = {}
-
-
 def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
     """Minimal total dimension of a faithful representation of the quotient.
 
@@ -191,17 +189,12 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
     factor acts nontrivially in some summand and the joint central kernel
     is the quotient kernel, nothing more.
     """
-    key = (cls.base, cls.kernel, caps.search_dim)
-    hit = _min_faithful_cache.get(key)
-    if hit is not None:
-        return hit
-    value = _min_faithful_search(cls, caps)
-    _min_faithful_cache[key] = value
-    return value
+    return _min_faithful_search(cls.base, cls.kernel, caps.search_dim)
 
 
-def _min_faithful_search(cls: IsogenyClass, caps: Caps) -> int:
-    base = cls.base
+@functools.lru_cache(maxsize=None)
+def _min_faithful_search(base: SemisimpleType, kernel: FrozenSet[Element],
+                         search_dim: int) -> int:
     nf = len(base.factors)
     if nf == 0:
         return 0
@@ -210,13 +203,13 @@ def _min_faithful_search(cls: IsogenyClass, caps: Caps) -> int:
     index_of = {z: i for i, z in enumerate(cells)}
     full_mask = (1 << len(cells)) - 1
     kernel_mask = 0
-    for z in cls.kernel:
+    for z in kernel:
         kernel_mask |= 1 << index_of[z]
     target_cov = (1 << nf) - 1
 
     budget = 2
     while True:
-        budget = min(budget, caps.search_dim)
+        budget = min(budget, search_dim)
         pool = _summand_pool(base, budget)
         # admissible for this kernel: the character vanishes on all of it,
         # i.e. the kernel sits inside the summand's zero set
@@ -226,15 +219,13 @@ def _min_faithful_search(cls: IsogenyClass, caps: Caps) -> int:
         best = _search_min_total(summands, target_cov, kernel_mask, full_mask, budget)
         if best is not None:
             return best
-        if budget >= caps.search_dim:
-            raise CapExceeded("faithful search dimension", caps.search_dim,
+        if budget >= search_dim:
+            raise CapExceeded("faithful search dimension", search_dim,
                               module="semisimple-enumeration")
         budget *= 2
 
 
-_SUMMAND_POOL_CACHE: Dict[Tuple[SemisimpleType, int], List[Tuple[int, int, int]]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int]]:
     """Kernel-independent summand candidates for one simply connected form.
 
@@ -243,10 +234,6 @@ def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int
     character vanishes.  Entries sharing coverage and zero set are collapsed
     to the cheapest dimension; the pool is shared by every central kernel.
     """
-    key = (base, budget)
-    cached = _SUMMAND_POOL_CACHE.get(key)
-    if cached is not None:
-        return cached
     systems = [build_root_system(f) for f in base.factors]
     nf = len(systems)
     moduli = base.center_moduli
@@ -290,9 +277,7 @@ def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int
                   cov | (nz << fi))
 
     build(0, 1, (0,) * ncells, 0)
-    pool = sorted((d, cov, zmask) for (cov, zmask), d in cheapest.items())
-    _SUMMAND_POOL_CACHE[key] = pool
-    return pool
+    return sorted((d, cov, zmask) for (cov, zmask), d in cheapest.items())
 
 
 def _prune_dominated(summands: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
@@ -332,9 +317,6 @@ def _search_min_total(summands, target_cov, kernel_mask, full_mask, budget) -> O
 # --- aggregates ------------------------------------------------------------
 
 
-_embedding_cache: Dict[Tuple[int, Caps], int] = {}
-
-
 def embedding_dim(n: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Smallest m such that every connected semisimple group of dimension
     <= n has a faithful m-dimensional representation.
@@ -345,17 +327,17 @@ def embedding_dim(n: int, caps: Caps = DEFAULT_CAPS) -> int:
         raise ValueError("dimension must be non-negative")
     if n < 3:
         return 0
-    key = (n, caps)
-    hit = _embedding_cache.get(key)
-    if hit is not None:
-        return hit
+    return _embedding_dim(n, caps)
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding_dim(n: int, caps: Caps) -> int:
     best = 0
     for base in enumerate_semisimple(n, caps):
         if base.is_trivial:
             continue
         for cls in isogeny_classes(base, caps):
             best = max(best, min_faithful_dim(cls, caps))
-    _embedding_cache[key] = best
     return best
 
 

@@ -11,6 +11,7 @@ points are omitted and '#' starts a comment.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -116,9 +117,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def perm(self, images: Images) -> Permutation:
-        return Permutation(images)
-
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
         for a in gens:
@@ -163,10 +161,6 @@ def closure(generators: Sequence[Permutation], degree: Optional[int] = None,
     return PermGroup(degree, tuple(generators), frozenset(elems))
 
 
-def trivial_group(degree: int = 1) -> PermGroup:
-    return closure([], degree=degree)
-
-
 # --- indexed element tables ---------------------------------------------------
 
 
@@ -175,9 +169,11 @@ class _GroupTable:
 
     Subgroups and centralizers become integer bitmasks, which makes the
     subgroup lattice and the centralizer-refinement search cheap.
+    `abelian_memo` maps a nonabelian subgroup mask to the largest abelian
+    subgroup order inside it.
     """
 
-    __slots__ = ("elements", "index", "mul", "commute", "identity")
+    __slots__ = ("elements", "index", "mul", "commute", "identity", "abelian_memo")
 
     def __init__(self, elements: FrozenSet[Images]):
         self.elements = sorted(elements)
@@ -197,6 +193,7 @@ class _GroupTable:
                 if row[j] == self.mul[j][i]:
                     mask |= 1 << j
             self.commute.append(mask)
+        self.abelian_memo: Dict[int, int] = {}
 
     def closure_mask(self, gen_ids: Iterable[int]) -> int:
         gen_ids = list(gen_ids)
@@ -231,30 +228,24 @@ def _bits(mask: int):
         mask ^= low
 
 
-_TABLE_CACHE: Dict[FrozenSet[Images], _GroupTable] = {}
-_ABELIAN_MEMO: Dict[int, Dict[int, int]] = {}
-
 # the tables are quadratic in the order; past this the searches they back
 # are out of desk scale anyway
 _TABLE_MAX_ORDER = 4096
 
 
 def _table_for(group: PermGroup) -> _GroupTable:
-    table = _TABLE_CACHE.get(group.elements)
-    if table is None:
-        if group.order > _TABLE_MAX_ORDER:
-            raise CapExceeded("exact-search group order", _TABLE_MAX_ORDER,
-                              observed=group.order, module="finite-groups")
-        table = _GroupTable(group.elements)
-        _TABLE_CACHE[group.elements] = table
-    return table
+    if group.order > _TABLE_MAX_ORDER:
+        raise CapExceeded("exact-search group order", _TABLE_MAX_ORDER,
+                          observed=group.order, module="finite-groups")
+    return _table(group.elements)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(elements: FrozenSet[Images]) -> _GroupTable:
+    return _GroupTable(elements)
 
 
 # --- abelian measurements ---------------------------------------------------
-
-
-def _commute(a: Images, b: Images) -> bool:
-    return _compose(a, b) == _compose(b, a)
 
 
 def _max_abelian_mask(table: _GroupTable, mask: int) -> int:
@@ -265,7 +256,7 @@ def _max_abelian_mask(table: _GroupTable, mask: int) -> int:
     contains some non-central element g of C, hence lies inside the smaller
     centralizer of g in C.
     """
-    memo = _ABELIAN_MEMO.setdefault(id(table), {})
+    memo = table.abelian_memo
 
     def refine(m: int) -> int:
         noncentral = [i for i in _bits(m) if m & ~table.commute[i]]
@@ -296,33 +287,6 @@ def jordan_index(group: PermGroup) -> int:
     if group.order % best:
         raise AssertionError("abelian subgroup order does not divide group order")
     return group.order // best
-
-
-def _cyclic_subgroup(images: Images, degree: int) -> FrozenSet[Images]:
-    identity = tuple(range(degree))
-    out = {identity}
-    x = images
-    while x != identity:
-        out.add(x)
-        x = _compose(x, images)
-    return frozenset(out)
-
-
-def _join(a: FrozenSet[Images], b: FrozenSet[Images], degree: int) -> FrozenSet[Images]:
-    gens = list(a | b)
-    identity = tuple(range(degree))
-    elems = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                x = _compose(e, g)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-        frontier = new
-    return frozenset(elems)
 
 
 def _subgroup_masks(table: _GroupTable) -> List[int]:
@@ -357,11 +321,6 @@ def all_subgroups(group: PermGroup) -> List[FrozenSet[Images]]:
     table = _table_for(group)
     return sorted((table.elems_of(m) for m in _subgroup_masks(table)),
                   key=lambda s: (len(s), sorted(s)))
-
-
-def _subgroup_to_group(elems: FrozenSet[Images], degree: int) -> PermGroup:
-    gens = tuple(Permutation(im) for im in sorted(elems))
-    return PermGroup(degree, gens, elems)
 
 
 def jordan_constant(group: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:

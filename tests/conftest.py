@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -13,6 +14,16 @@ CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.grp"))
 def corpus_groups():
     """All bundled permutation groups, loaded once."""
     return {p.stem: permgroups.load_group(str(p)) for p in CORPUS.glob("*.grp")}
+
+
+@pytest.fixture
+def int_str_limit():
+    """Restore the interpreter's int -> str digit limit after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int -> str digit limit")
+    old = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def corpus_path(name: str) -> str:

@@ -5,10 +5,11 @@ over the pruned searches used by the package.
 """
 
 from fractions import Fraction
+from typing import FrozenSet
 
 from jordanbounds import abelian
 from jordanbounds.enumeration import IsogenyClass
-from jordanbounds.permgroups import PermGroup, _compose, _cyclic_subgroup, _join
+from jordanbounds.permgroups import Images, PermGroup, _compose
 from jordanbounds.rootsystems import DominantWeight, build_root_system
 
 
@@ -104,6 +105,33 @@ def exhaustive_min_faithful(cls: IsogenyClass, cap: int) -> int:
 
     enumerate_multisets(0, 0, [])
     return best
+
+
+def _cyclic_subgroup(images: Images, degree: int) -> FrozenSet[Images]:
+    identity = tuple(range(degree))
+    out = {identity}
+    x = images
+    while x != identity:
+        out.add(x)
+        x = _compose(x, images)
+    return frozenset(out)
+
+
+def _join(a: FrozenSet[Images], b: FrozenSet[Images], degree: int) -> FrozenSet[Images]:
+    gens = list(a | b)
+    identity = tuple(range(degree))
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                x = _compose(e, g)
+                if x not in elems:
+                    elems.add(x)
+                    new.append(x)
+        frontier = new
+    return frozenset(elems)
 
 
 def commuting_closure_max_abelian(group: PermGroup) -> int:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -142,3 +143,30 @@ def test_mul_matches_integer_arithmetic(fa, fb):
     assert (a * b).to_int() == a.to_int() * b.to_int()
     assert (a == b) == (a.to_int() == b.to_int())
     assert a.compare(b) == (a.to_int() > b.to_int()) - (a.to_int() < b.to_int())
+
+
+def test_render_keeps_an_unlimited_str_digit_limit(int_str_limit):
+    sys.set_int_max_str_digits(0)
+    assert BoundValue.from_int(12345).render() == "12345"
+    big = BoundValue.from_int(7).pow(2000)
+    assert big.render() == str(7 ** 2000)
+    assert big.to_json()["decimal"] == str(7 ** 2000)
+    assert sys.get_int_max_str_digits() == 0
+
+
+def test_render_raises_a_low_str_digit_limit(int_str_limit):
+    sys.set_int_max_str_digits(640)
+    text = BoundValue.from_int(7).pow(2000).render()
+    assert len(text) == 1691
+    assert sys.get_int_max_str_digits() >= 1691
+
+
+def test_bases_past_the_str_digit_limit_render_and_serialise(int_str_limit):
+    base = 7 ** 6000  # 5071 digits
+    sys.set_int_max_str_digits(0)
+    text = str(base)
+    past_cap = BoundValue.from_int(base) * BoundValue.from_int(2).pow(10 ** 7)
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    assert past_cap.to_json()["factors"] == [["2", "10000000"], [text, "1"]]
+    sys.set_int_max_str_digits(4300)
+    assert past_cap.render().startswith(f"2^10000000 * {text} (~10^[")

@@ -235,15 +235,6 @@ def test_aut0_bounds():
         calc.aut0_jordan_bound(0)
 
 
-def test_bir_matches_aut0():
-    for n in (1, 2):
-        assert calc.bir_jordan_bound(n)[0] == calc.aut0_jordan_bound(n)[0]
-        assert calc.bir_rank_bound(n) == calc.aut0_rank_bound(n)
-        tb, _ = calc.bir_triple(n)
-        ta, _ = calc.aut0_triple(n)
-        assert tb.j == ta.j and tb.rkf == ta.rkf and tb.bd == ta.bd
-
-
 def test_aut0_cap_breach_is_explicit():
     with pytest.raises(CapExceeded):
         calc.aut0_jordan_bound(2, Caps(enumeration_dim=8))
@@ -258,6 +249,21 @@ def test_traces_replay_and_serialize():
         assert calc._same(final, triple)
         data = trace.to_json()
         assert all({"op", "rule", "statement", "inputs", "output"} <= set(d) for d in data)
+
+
+def test_replay_table_is_exactly_the_emitted_ops():
+    traces = [leaf_with_trace(kind, 3)[1] for kind in calc.LEAF_KINDS]
+    torus, finite = leaf_triple("torus", 1), leaf_triple("finite", 6)
+    traces.append(combine_extension(finite, leaf_triple("gl_rational", 2))[1])
+    traces.append(combine_extension(torus, torus)[1])
+    traces.append(combine_product(torus, finite)[1])
+    traces += [calc.connected_triple(n)[1] for n in range(4)]
+    traces.append(calc.aut0_triple(1)[1])
+    steps = [step for trace in traces for step in trace.steps]
+    assert "extension: no finiteness rule" in {step.rule for step in steps}
+    for trace in traces:
+        trace.replay()
+    assert {step.op for step in steps} == set(calc._REPLAY)
 
 
 def test_minkowski_divides_orders_of_rational_matrix_groups(corpus_groups):

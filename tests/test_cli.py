@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import jordanbounds
+from jordanbounds.calculus import gl_jordan_bound, minkowski_bound
 from jordanbounds.cli import main
 
 from conftest import corpus_path
@@ -163,6 +164,17 @@ def test_cnbound(capsys):
 def test_minkowski(capsys):
     code, out, _ = run_cli(capsys, "minkowski", "--n", "4")
     assert code == 0 and out.strip() == "5760"
+
+
+def test_big_cnbound_and_minkowski_print_exact_values(capsys, int_str_limit):
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    outputs = []
+    for argv in (["cnbound", "--n", "41"], ["minkowski", "--n", "1332"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        outputs.append(out)
+    sys.set_int_max_str_digits(0)
+    assert outputs == [f"{gl_jordan_bound(41)}\n", f"{minkowski_bound(1332)}\n"]
 
 
 def test_nfun(capsys):

@@ -170,6 +170,14 @@ def test_traces_replay_to_result():
         assert _same(trace.replay(), triple)
 
 
+def test_bir_connected_matches_aut0():
+    for n in (1, 2):
+        bir, bir_trace = evaluate(BirConnected(n))
+        aut0, aut0_trace = evaluate(Aut0(n))
+        assert bir == aut0
+        assert bir_trace.to_json() == aut0_trace.to_json()
+
+
 def test_caps_propagate_with_node_context():
     with pytest.raises(CapExceeded):
         evaluate(parse("semisimple([D4], sc)"), Caps(enumeration_dim=9))

@@ -1,8 +1,8 @@
 import pytest
 
-from jordanbounds import abelian
+from jordanbounds import enumeration
 from jordanbounds.abelian import FiniteAbelianGroup
-from jordanbounds.caps import Caps, CapExceeded
+from jordanbounds.caps import Caps, CapExceeded, DEFAULT_CAPS
 from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
                                       embedding_dim, enumerate_central_subgroups,
                                       enumerate_semisimple, isogeny_classes,
@@ -157,3 +157,12 @@ def test_class_naming():
     assert cls_of(["A1"], [(1,)]).name() == "A1/adj"
     assert cls_of(["A1", "A1"], [(1, 1)]).name() == "A1xA1/(1,1)"
     assert cls_of(["A3"], [(2,)]).name() == "A3/(2)"
+
+
+def test_default_and_explicit_caps_share_one_embedding_entry():
+    value = embedding_dim(7)
+    before = enumeration._embedding_dim.cache_info()
+    assert embedding_dim(7, DEFAULT_CAPS) == value
+    after = enumeration._embedding_dim.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses

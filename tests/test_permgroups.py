@@ -2,13 +2,18 @@ import pytest
 
 from jordanbounds import permgroups as pg
 from jordanbounds.caps import CapExceeded, Caps
-from jordanbounds.permgroups import Permutation, closure
+from jordanbounds.permgroups import PermGroup, Permutation, closure
 
 from oracles import commuting_closure_max_abelian
 
 
 def P(text, degree):
     return Permutation.from_cycles(text, degree)
+
+
+def _subgroup_to_group(elems, degree):
+    gens = tuple(Permutation(im) for im in sorted(elems))
+    return PermGroup(degree, gens, elems)
 
 
 def test_permutation_basics():
@@ -90,7 +95,7 @@ def test_jordan_constant_dominates_subgroup_indexes(corpus_groups):
         constant = pg.jordan_constant(group)
         assert constant >= pg.jordan_index(group)
         for sub in pg.all_subgroups(group):
-            subgroup = pg._subgroup_to_group(sub, group.degree)
+            subgroup = _subgroup_to_group(sub, group.degree)
             assert pg.jordan_index(subgroup) <= constant
 
 
@@ -165,3 +170,18 @@ def test_direct_product(corpus_groups):
     assert prod.order == 12
     assert prod.degree == 5
     assert pg.jordan_index(prod) == pg.jordan_index(corpus_groups["s3"])
+
+
+def test_equal_element_sets_share_one_table(corpus_groups):
+    group = corpus_groups["s4"]
+    regenerated = closure([Permutation(im) for im in sorted(group.elements)],
+                          degree=group.degree)
+    assert regenerated.generators != group.generators
+    assert pg._table_for(regenerated) is pg._table_for(group)
+
+
+def test_max_abelian_order_memo_lives_on_the_table(corpus_groups):
+    group = corpus_groups["s4"]
+    table = pg._table_for(group)
+    best = pg.max_abelian_order(group)
+    assert table.abelian_memo[table.mask_of(group.elements)] == best
