@@ -53,20 +53,28 @@ def element_order(a: Element, moduli: Moduli) -> int:
 
 
 def subgroup_closure(gens: Iterable[Element], moduli: Moduli) -> FrozenSet[Element]:
+    """The subgroup generated by `gens`, one generator at a time.
+
+    <H, g> is the union of the cosets H + k*g for k from 0 below the least
+    k >= 1 with k*g in H, so each element of the result costs about one
+    addition.
+    """
     zero = zero_of(moduli)
-    elems = {zero}
-    frontier = [zero]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                x = add_mod(e, g, moduli)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-        frontier = new
-    return frozenset(elems)
+    elems = [zero]
+    have = {zero}
+    for g in gens:
+        if g in have:
+            continue
+        coset = elems
+        grown = []
+        while True:
+            coset = [add_mod(x, g, moduli) for x in coset]
+            if coset[0] in have:  # coset[0] = k*g, since elems[0] is zero
+                break
+            grown.extend(coset)
+        elems.extend(grown)
+        have.update(grown)
+    return frozenset(have)
 
 
 def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[Element]]:
@@ -74,38 +82,83 @@ def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[E
     return _all_subgroups(moduli, caps)
 
 
+def _translation(z: Element, moduli: Moduli) -> List[Tuple[int, int, int]]:
+    """Nonzero digits (weight, modulus, digit) of z in the mixed-radix code
+    whose weights are w_i = prod(moduli[i+1:])."""
+    steps = []
+    w = order_of_moduli(moduli)
+    for v, m in zip(z, moduli):
+        w //= m
+        if v:
+            steps.append((w, m, v))
+    return steps
+
+
+def _translate(xs: List[int], steps: List[Tuple[int, int, int]]) -> List[int]:
+    """Codes of x + z for every code x in xs, digit by digit, without carries."""
+    for w, m, v in steps:
+        xs = [x + (v if x // w % m + v < m else v - m) * w for x in xs]
+    return xs
+
+
 @functools.lru_cache(maxsize=None)
 def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
     order = order_of_moduli(moduli)
     if order > caps.center_order:
-        raise CapExceeded("center order", caps.center_order, observed=order,
-                          module="abelian")
+        raise CapExceeded(f"center order on moduli {moduli}", caps.center_order,
+                          observed=order, module="abelian")
+    # element i is the i-th tuple in lexicographic order, so sorting codes
+    # sorts tuples; subgroups are frozensets of codes until the end
     elements = sorted(elements_of(moduli))
-    # work guard: a closure from k generators costs about k * result order;
+    steps = [_translation(z, moduli) for z in elements]
+    # work guard: each closure <sub, z> is charged the walk's nominal cost,
+    # that of a fixpoint closure from len(sub) + 1 generators, so that caps
+    # trip where they always have although the closures below are cheaper;
     # lattices that explode must fail fast rather than grind to the count cap
     work_budget = 512 * caps.subgroup_count
     work = 0
-    subs = {frozenset([zero_of(moduli)])}
+    subs = {frozenset([0])}
     frontier = list(subs)
     while frontier:
         new = []
         for sub in frontier:
-            for z in elements:
+            members = list(sub)
+            for z in range(order):
                 if z in sub:
                     continue
-                bigger = subgroup_closure(list(sub) + [z], moduli)
+                # <sub, z> is the union of the cosets sub + k*z for k below
+                # the order of z modulo sub; translate whichever side is shorter
+                step = steps[z]
+                multiples = [0]
+                kz = z
+                while kz not in sub:
+                    multiples.append(kz)
+                    for w, m, v in step:
+                        kz += (v if kz // w % m + v < m else v - m) * w
+                if len(multiples) <= len(members):
+                    grown = members[:]
+                    for y in multiples[1:]:
+                        grown += _translate(members, steps[y])
+                else:
+                    grown = multiples[:]
+                    for x in members:
+                        if x:
+                            grown += _translate(multiples, steps[x])
+                bigger = frozenset(grown)
                 work += len(bigger) * (len(sub) + 1)
                 if work > work_budget:
-                    raise CapExceeded("subgroup enumeration work", work_budget,
-                                      observed=len(subs), module="abelian")
+                    raise CapExceeded(f"subgroup enumeration work on moduli {moduli}",
+                                      work_budget, observed=len(subs), module="abelian")
                 if bigger not in subs:
                     subs.add(bigger)
                     new.append(bigger)
                     if len(subs) > caps.subgroup_count:
-                        raise CapExceeded("subgroup count", caps.subgroup_count,
-                                          observed=len(subs), module="abelian")
+                        raise CapExceeded(f"subgroup count on moduli {moduli}",
+                                          caps.subgroup_count, observed=len(subs),
+                                          module="abelian")
         frontier = new
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+    ordered = sorted((sorted(s) for s in subs), key=lambda s: (len(s), s))
+    return [frozenset(elements[i] for i in s) for s in ordered]
 
 
 def minimal_generators(elems: FrozenSet[Element], moduli: Moduli) -> Tuple[Element, ...]:
@@ -196,21 +249,17 @@ def quotient_invariants(moduli: Moduli, sub: FrozenSet[Element]) -> Tuple[int, .
     full = order_of_moduli(moduli)
     if full % len(sub):
         raise ValueError("subgroup order does not divide group order")
-    # order of a coset x + sub = least k >= 1 with k*x in sub
+    # order of x modulo sub = least k >= 1 with k*x in sub; every coset
+    # contributes len(sub) equal orders, so one in len(sub) of them is kept
     orders = []
-    seen = set()
     for x in elements_of(moduli):
-        rep = min(add_mod(x, s, moduli) for s in sub)
-        if rep in seen:
-            continue
-        seen.add(rep)
         k = 1
         acc = x
         while acc not in sub:
             acc = add_mod(acc, x, moduli)
             k += 1
         orders.append(k)
-    return invariants_from_orders(orders)
+    return invariants_from_orders(sorted(orders)[::len(sub)])
 
 
 # --- canonical presentation ----------------------------------------------

@@ -18,8 +18,6 @@ import math
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import mpmath
-
 from .caps import DEFAULT_CAPS
 
 
@@ -184,6 +182,8 @@ class BoundValue:
         cached = self._log10_cache.get(dps)
         if cached is not None:
             return cached
+        import mpmath  # deferred: most commands never compare magnitudes
+
         old = mpmath.iv.dps
         try:
             mpmath.iv.dps = dps

@@ -171,3 +171,44 @@ def brute_force_subgroup_count(moduli) -> int:
         if all(abelian.add_mod(a, b, moduli) in subset for a in subset for b in subset):
             count += 1
     return count
+
+
+def reference_subgroup_closure(gens, moduli) -> FrozenSet:
+    """Subgroup generated by gens, by adding every generator to every new
+    element until nothing new appears."""
+    zero = abelian.zero_of(moduli)
+    elems = {zero}
+    frontier = [zero]
+    gens = list(gens)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                x = abelian.add_mod(e, g, moduli)
+                if x not in elems:
+                    elems.add(x)
+                    new.append(x)
+        frontier = new
+    return frozenset(elems)
+
+
+def reference_quotient_invariants(moduli, sub):
+    """Invariant factors of (product of Z_m) / sub from one representative
+    per coset (its smallest element) and that coset's order."""
+    full = abelian.order_of_moduli(moduli)
+    if full % len(sub):
+        raise ValueError("subgroup order does not divide group order")
+    orders = []
+    seen = set()
+    for x in abelian.elements_of(moduli):
+        rep = min(abelian.add_mod(x, s, moduli) for s in sub)
+        if rep in seen:
+            continue
+        seen.add(rep)
+        k = 1
+        acc = x
+        while acc not in sub:
+            acc = abelian.add_mod(acc, x, moduli)
+            k += 1
+        orders.append(k)
+    return abelian.invariants_from_orders(orders)

@@ -1,0 +1,35 @@
+"""The benchmark's cap-breach operations must stay breaches.
+
+bench/workloads.py runs E(15..18) queries under CAP_BREACH_CAPS and checks
+that each one exits with a cap error; an engine change that lets one of them
+complete (or moves the breach elsewhere) fails here, not only in a benchmark
+run.  The file is read, not imported or changed.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+from jordanbounds.caps import CapExceeded, Caps
+from jordanbounds.enumeration import class_table, embedding_dim
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _breach_caps() -> Caps:
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "CAP_BREACH_CAPS" for t in node.targets):
+            return Caps(**ast.literal_eval(node.value))
+    raise AssertionError("bench/workloads.py defines no CAP_BREACH_CAPS")
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_breach_inputs_stay_breaches(n):
+    caps = _breach_caps()
+    with pytest.raises(CapExceeded):
+        embedding_dim(n, caps)
+    with pytest.raises(CapExceeded):
+        class_table(n, caps)
