@@ -166,7 +166,10 @@ class BoundValue:
         """Expand to a plain integer, or None when past the digit cap."""
         if self._infinite:
             return None
-        if self.digits10_interval()[0] > max_digits:
+        # log10(2) < 1/3, so bits // 3 + 1 bounds the digit count from above
+        # and decides most values without the certified logarithm
+        bits = sum(e * b.bit_length() for b, e in self._factors)
+        if bits // 3 + 1 > max_digits and self.digits10_interval()[0] > max_digits:
             return None
         out = 1
         for base, exp in self._factors:

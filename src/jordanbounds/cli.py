@@ -149,8 +149,10 @@ def _run(args, caps: Caps) -> int:
 
     if args.verb == "sbound":
         value = calculus.semisimple_jordan_bound(args.dim, caps)
-        _emit(args, {"command": "sbound", "dim": args.dim, "value": value.to_json(digits)},
-              [value.render(digits)])
+        payload = {"command": "sbound", "dim": args.dim}
+        if args.json:  # its certified log10 costs the mpmath import
+            payload["value"] = value.to_json(digits)
+        _emit(args, payload, [value.render(digits)])
         return 0
 
     if args.verb == "bound":

@@ -8,9 +8,12 @@ Grammar (whitespace-insensitive):
 
 Leaves: torus(r), unipotent(d), abelian_variety(g), finite(N), gl(n),
 gl_q(n), semisimple([A1,...], sc|adjoint), connected(n), aut0(n),
-bir_connected(n).  The extension node takes (normal subgroup, quotient),
-mirroring the sequence 1 -> G1 -> G -> G2 -> 1.  Files may carry '#' line
-comments around a single expression.
+bir_connected(n).
+
+Every leaf but semisimple parses to Leaf(name, arg), one row of _LEAVES.
+The extension node takes (normal subgroup, quotient), mirroring the
+sequence 1 -> G1 -> G -> G2 -> 1.  Files may carry '#' line comments
+around a single expression.
 """
 
 from __future__ import annotations
@@ -35,54 +38,16 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Torus:
-    rank: int
-
-
-@dataclass(frozen=True)
-class Unipotent:
-    dim: int
-
-
-@dataclass(frozen=True)
-class AbelianVariety:
-    dim: int
-
-
-@dataclass(frozen=True)
-class Finite:
-    order: int
-
-
-@dataclass(frozen=True)
-class GL:
-    n: int
-
-
-@dataclass(frozen=True)
-class GLRational:
-    n: int
+class Leaf:
+    """An integer-parameter leaf such as torus(2); `name` is a key of _LEAVES."""
+    name: str
+    arg: int
 
 
 @dataclass(frozen=True)
 class Semisimple:
     types: Tuple[SimpleType, ...]
     isogeny: str  # "sc" | "adjoint"
-
-
-@dataclass(frozen=True)
-class Connected:
-    dim: int
-
-
-@dataclass(frozen=True)
-class Aut0:
-    dim: int
-
-
-@dataclass(frozen=True)
-class BirConnected:
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -96,11 +61,32 @@ class Extension:
     quotient: "GroupExpr"
 
 
-GroupExpr = Union[Torus, Unipotent, AbelianVariety, Finite, GL, GLRational,
-                  Semisimple, Connected, Aut0, BirConnected, Product, Extension]
+GroupExpr = Union[Leaf, Semisimple, Product, Extension]
 
-_LEAF_NAMES = ("torus", "unipotent", "abelian_variety", "finite", "gl", "gl_q",
-               "semisimple", "connected", "aut0", "bir_connected")
+
+def _calculus_leaf(kind: str):
+    return lambda n, caps: calculus.leaf_with_trace(kind, n, caps)
+
+
+# leaf name -> (evaluator(arg, caps) -> (triple, trace), parse error when the
+# argument must be at least 1, or None when 0 is allowed).  Evaluators look
+# the calculus functions up at call time, so wrappers installed on the
+# calculus module see every call.
+_LEAVES = {
+    "torus": (_calculus_leaf("torus"), None),
+    "unipotent": (_calculus_leaf("unipotent"), None),
+    "abelian_variety": (_calculus_leaf("abelian_variety"), None),
+    "finite": (_calculus_leaf("finite"), "finite group order must be at least 1"),
+    "gl": (_calculus_leaf("gl_field"), None),
+    "gl_q": (_calculus_leaf("gl_rational"), "gl_q needs a positive dimension"),
+    "connected": (lambda n, caps: calculus.connected_triple(n, caps), None),
+    "aut0": (lambda n, caps: calculus.aut0_triple(n, caps),
+             "aut0 needs a positive variety dimension"),
+    # a connected subgroup of Bir(X) acts biregularly on a projective model
+    # of the same dimension
+    "bir_connected": (lambda n, caps: calculus.aut0_triple(n, caps),
+                      "bir_connected needs a positive variety dimension"),
+}
 
 
 # --- tokenizer / parser ----------------------------------------------------
@@ -196,50 +182,46 @@ class _Parser:
             quotient = self.expr()
             self._next("punct", ")")
             return Extension(normal, quotient)
-        if head.text not in _LEAF_NAMES:
+        if head.text == "semisimple":
+            node = self._semisimple()
+        elif head.text in _LEAVES:
+            node = self._leaf(head.text)
+        else:
             raise ParseError(f"unknown leaf {head.text!r}", head.pos)
-        node = self._leaf(head)
         self._next("punct", ")")
         return node
 
-    def _leaf(self, head: _Token) -> GroupExpr:
-        name = head.text
-        if name == "semisimple":
-            self._next("punct", "[")
-            types: List[SimpleType] = []
-            while True:
-                tok = self._next("name")
-                try:
-                    types.append(SimpleType.parse(tok.text))
-                except ValueError as exc:
-                    raise ParseError(str(exc), tok.pos) from None
-                tok = self._peek()
-                if tok and tok.text == ",":
-                    self._next()
-                    continue
-                break
-            self._next("punct", "]")
-            self._next("punct", ",")
-            iso = self._next("name")
-            if iso.text not in ("sc", "adjoint"):
-                raise ParseError(f"isogeny must be sc or adjoint, found {iso.text!r}", iso.pos)
-            return Semisimple(tuple(types), iso.text)
+    def _semisimple(self) -> Semisimple:
+        self._next("punct", "[")
+        types: List[SimpleType] = []
+        while True:
+            tok = self._next("name")
+            try:
+                types.append(SimpleType.parse(tok.text))
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.pos) from None
+            tok = self._peek()
+            if tok and tok.text == ",":
+                self._next()
+                continue
+            break
+        self._next("punct", "]")
+        self._next("punct", ",")
+        iso = self._next("name")
+        if iso.text not in ("sc", "adjoint"):
+            raise ParseError(f"isogeny must be sc or adjoint, found {iso.text!r}", iso.pos)
+        return Semisimple(tuple(types), iso.text)
+
+    def _leaf(self, name: str) -> Leaf:
         tok = self._peek()
         if tok is None or tok.kind != "int":
             raise ParseError(f"{name} expects one integer argument",
                              tok.pos if tok else self.length)
         value = self._int()
-        if name == "finite" and value < 1:
-            raise ParseError("finite group order must be at least 1", tok.pos)
-        if name in ("aut0", "bir_connected") and value < 1:
-            raise ParseError(f"{name} needs a positive variety dimension", tok.pos)
-        if name == "gl_q" and value < 1:
-            raise ParseError("gl_q needs a positive dimension", tok.pos)
-        return {
-            "torus": Torus, "unipotent": Unipotent, "abelian_variety": AbelianVariety,
-            "finite": Finite, "gl": GL, "gl_q": GLRational,
-            "connected": Connected, "aut0": Aut0, "bir_connected": BirConnected,
-        }[name](value)
+        message = _LEAVES[name][1]
+        if message is not None and value < 1:
+            raise ParseError(message, tok.pos)
+        return Leaf(name, value)
 
 
 def parse(text: str) -> GroupExpr:
@@ -255,27 +237,11 @@ def parse_file_text(text: str) -> GroupExpr:
 
 def print_expr(expr: GroupExpr) -> str:
     """Canonical form; parse(print_expr(e)) == e."""
-    if isinstance(expr, Torus):
-        return f"torus({expr.rank})"
-    if isinstance(expr, Unipotent):
-        return f"unipotent({expr.dim})"
-    if isinstance(expr, AbelianVariety):
-        return f"abelian_variety({expr.dim})"
-    if isinstance(expr, Finite):
-        return f"finite({expr.order})"
-    if isinstance(expr, GL):
-        return f"gl({expr.n})"
-    if isinstance(expr, GLRational):
-        return f"gl_q({expr.n})"
+    if isinstance(expr, Leaf):
+        return f"{expr.name}({expr.arg})"
     if isinstance(expr, Semisimple):
         types = ",".join(str(t) for t in expr.types)
         return f"semisimple([{types}], {expr.isogeny})"
-    if isinstance(expr, Connected):
-        return f"connected({expr.dim})"
-    if isinstance(expr, Aut0):
-        return f"aut0({expr.dim})"
-    if isinstance(expr, BirConnected):
-        return f"bir_connected({expr.dim})"
     if isinstance(expr, Product):
         return "product(" + ", ".join(print_expr(c) for c in expr.children) + ")"
     if isinstance(expr, Extension):
@@ -308,32 +274,10 @@ def evaluate(expr: GroupExpr, caps: Caps = DEFAULT_CAPS
 def _evaluate(expr: GroupExpr, caps: Caps, path: str
               ) -> Tuple[BoundTriple, DerivationTrace]:
     try:
-        if isinstance(expr, Torus):
-            return calculus.leaf_with_trace("torus", expr.rank, caps)
-        if isinstance(expr, Unipotent):
-            return calculus.leaf_with_trace("unipotent", expr.dim, caps)
-        if isinstance(expr, AbelianVariety):
-            return calculus.leaf_with_trace("abelian_variety", expr.dim, caps)
-        if isinstance(expr, Finite):
-            return calculus.leaf_with_trace("finite", expr.order, caps)
-        if isinstance(expr, GL):
-            return calculus.leaf_with_trace("gl_field", expr.n, caps)
-        if isinstance(expr, GLRational):
-            return calculus.leaf_with_trace("gl_rational", expr.n, caps)
+        if isinstance(expr, Leaf):
+            return _LEAVES[expr.name][0](expr.arg, caps)
         if isinstance(expr, Semisimple):
-            cls = _semisimple_class(expr)
-            if cls.dim > caps.enumeration_dim:
-                raise CapExceeded("enumeration dimension", caps.enumeration_dim,
-                                  observed=cls.dim, module="group-dsl")
-            return calculus.leaf_with_trace("semisimple", cls.dim, caps)
-        if isinstance(expr, Connected):
-            return calculus.connected_triple(expr.dim, caps)
-        if isinstance(expr, Aut0):
-            return calculus.aut0_triple(expr.dim, caps)
-        if isinstance(expr, BirConnected):
-            # a connected subgroup of Bir(X) acts biregularly on a projective
-            # model of the same dimension
-            return calculus.aut0_triple(expr.dim, caps)
+            return calculus.leaf_with_trace("semisimple", _semisimple_class(expr).dim, caps)
     except CapExceeded as exc:
         raise CapExceeded(f"{exc.what} at node {path} ({print_expr(expr)})",
                           exc.limit, exc.observed, exc.module) from None

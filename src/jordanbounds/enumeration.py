@@ -160,19 +160,12 @@ def enumerate_semisimple(max_dim: int, caps: Caps = DEFAULT_CAPS) -> List[Semisi
 def enumerate_central_subgroups(group: FiniteAbelianGroup,
                                 caps: Caps = DEFAULT_CAPS) -> List[CenterSubgroup]:
     """Every subgroup of a finite abelian group, smallest first."""
-    if group.order > caps.center_order:
-        raise CapExceeded("center order", caps.center_order, observed=group.order,
-                          module="semisimple-enumeration")
     subs = abelian.all_subgroups(group.factors, caps)
     return [CenterSubgroup(group.factors, s) for s in subs]
 
 
 def isogeny_classes(base: SemisimpleType, caps: Caps = DEFAULT_CAPS) -> List[IsogenyClass]:
     moduli = base.center_moduli
-    if abelian.order_of_moduli(moduli) > caps.center_order:
-        raise CapExceeded("center order", caps.center_order,
-                          observed=abelian.order_of_moduli(moduli),
-                          module="semisimple-enumeration")
     return [IsogenyClass(base, sub) for sub in abelian.all_subgroups(moduli, caps)]
 
 

@@ -329,7 +329,7 @@ def jordan_constant(group: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     if group.order > caps.constant_group_order:
         raise CapExceeded("exact Jordan constant group order",
                           caps.constant_group_order,
-                          observed=jordan_index(group), module="finite-groups")
+                          observed=group.order, module="finite-groups")
     table = _table_for(group)
     best = 1
     for mask in _subgroup_masks(table):

@@ -178,7 +178,7 @@ def test_criterion_10_dsl(capsys):
         for d in range(11):
             for r in range(11):
                 triple, trace = dsl.evaluate(
-                    dsl.Extension(dsl.Unipotent(d), dsl.Torus(r)))
+                    dsl.Extension(dsl.Leaf("unipotent", d), dsl.Leaf("torus", r)))
                 assert triple.j == BV_ONE and triple.rkf == ExtNat(r)
                 assert not triple.bd.is_finite
                 assert calc._same(trace.replay(), triple)

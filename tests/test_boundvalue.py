@@ -75,6 +75,31 @@ def test_digit_cap_controls_expansion():
     assert huge.to_int(max_digits=1_000_000) is None
 
 
+@pytest.mark.parametrize("value, expands_at_digit_count", [
+    (BoundValue.from_int(9), True),
+    (BoundValue.from_int(10), True),
+    (BoundValue([(2, 3), (3, 1), (7, 2)]), True),
+    (BoundValue.from_int(10 ** 5 - 1), True),
+    (BoundValue.from_int(10 ** 5), True),
+    (BoundValue([(2, 15), (3, 5), (7, 2)]), True),
+    # the float ends of log10_interval round to nearest, so 10**k - 1 reads
+    # as k + 1 digits once k is large; pinned as it always was
+    (BoundValue.from_int(10 ** 30 - 1), False),
+    (BoundValue.from_int(10 ** 30), True),
+    (BoundValue([(2, 90), (3, 30), (7, 2)]), True),
+    (BoundValue.from_int(10 ** 100 - 1), False),
+    (BoundValue.from_int(10 ** 100), True),
+    (BoundValue([(2, 300), (3, 100), (7, 2)]), True),
+])
+def test_to_int_at_the_digit_cap(value, expands_at_digit_count):
+    exact = 1
+    for base, exp in value.factors:
+        exact *= base ** exp
+    digits = len(str(exact))
+    assert value.to_int(digits) == (exact if expands_at_digit_count else None)
+    assert value.to_int(digits - 1) is None
+
+
 def test_log10_interval_encloses_truth():
     mpmath.mp.dps = 60
     cases = [BoundValue.from_int(2).pow(100),

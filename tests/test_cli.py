@@ -337,3 +337,16 @@ def test_repeat_runs_bit_identical():
     b = _run_fresh(cmd)
     assert a.returncode == b.returncode == 0, (a.stderr, b.stderr)
     assert a.stdout == b.stdout
+
+
+def test_small_text_sbound_does_not_import_mpmath():
+    code = ("import runpy, sys\n"
+            "sys.argv = ['jordanbounds', 'sbound', '--dim', '12']\n"
+            "try:\n"
+            "    runpy.run_module('jordanbounds', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('mpmath' in sys.modules)\n")
+    out = _run_fresh([sys.executable, "-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().splitlines() == [str(gl_jordan_bound(16)), "False"]

@@ -44,6 +44,19 @@ def test_enumeration_cap():
         enumerate_semisimple(5, small_caps)
 
 
+def test_center_order_cap_names_the_moduli():
+    caps = Caps(center_order=4)
+    a1_cubed = SemisimpleType((A1, A1, A1))
+    for call in (lambda: isogeny_classes(a1_cubed, caps),
+                 lambda: enumerate_central_subgroups(FiniteAbelianGroup((2, 2, 2)), caps),
+                 lambda: embedding_dim(9, caps)):
+        with pytest.raises(CapExceeded) as err:
+            call()
+        assert err.value.module == "abelian"
+        assert "(2, 2, 2)" in err.value.what
+        assert err.value.observed == 8
+
+
 def test_enumerate_central_subgroups_counts():
     assert len(enumerate_central_subgroups(FiniteAbelianGroup((2,)))) == 2
     assert len(enumerate_central_subgroups(FiniteAbelianGroup((4,)))) == 3

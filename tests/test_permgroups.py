@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from jordanbounds import permgroups as pg
@@ -89,6 +91,18 @@ def test_jordan_constant(corpus_groups):
     assert pg.jordan_constant(corpus_groups["d8"]) == 2
 
 
+def test_jordan_constant_cap_trips_before_any_work(corpus_groups):
+    group = pg.direct_product(corpus_groups["s5"], corpus_groups["s4"])
+    tables = pg._table.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        pg.jordan_constant(group)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.limit == 2000
+    assert err.value.observed == 2880 == group.order
+    assert pg._table.cache_info().currsize == tables
+
+
 def test_jordan_constant_dominates_subgroup_indexes(corpus_groups):
     for name in ("s4", "a4", "d10", "q8", "s3"):
         group = corpus_groups[name]
@@ -99,10 +113,11 @@ def test_jordan_constant_dominates_subgroup_indexes(corpus_groups):
             assert pg.jordan_index(subgroup) <= constant
 
 
-def test_jordan_constant_cap_exceeded_carries_index(corpus_groups):
+def test_jordan_constant_cap_exceeded_carries_order(corpus_groups):
     with pytest.raises(CapExceeded) as err:
         pg.jordan_constant(corpus_groups["a5"], Caps(constant_group_order=10))
-    assert err.value.observed == 12  # the Jordan index is a certified lower bound
+    # the cap bounds the group order, so that is what it reports
+    assert (err.value.limit, err.value.observed) == (10, 60)
 
 
 def test_jordan_constant_submultiplicative(corpus_groups):
