@@ -7,9 +7,9 @@ on the factored form; decimal expansion is permitted only below a digit cap.
 
 Equality is mathematical, not structural: 4^24 == 2^48.  It is decided by
 rewriting both sides over a joint gcd-free (pairwise coprime) base set.
-Order comparisons use interval enclosures of log10 with escalating
-precision, falling back on exact equality when the intervals refuse to
-separate.
+Order comparisons use outward-rounded interval enclosures of log10 with
+escalating precision; sides too close to separate at the first precision
+are compared as exact integers when both expand below the digit cap.
 """
 
 from __future__ import annotations
@@ -169,11 +169,17 @@ class BoundValue:
         # log10(2) < 1/3, so bits // 3 + 1 bounds the digit count from above
         # and decides most values without the certified logarithm
         bits = sum(e * b.bit_length() for b, e in self._factors)
-        if bits // 3 + 1 > max_digits and self.digits10_interval()[0] > max_digits:
-            return None
+        straddles = False
+        if bits // 3 + 1 > max_digits:
+            lo, hi = self.digits10_interval()
+            if lo > max_digits:
+                return None
+            straddles = hi > max_digits
         out = 1
         for base, exp in self._factors:
             out *= base ** exp
+        if straddles and out >= 10 ** max_digits:
+            return None
         return out
 
     # -- certified log10 ---------------------------------------------------
@@ -186,6 +192,7 @@ class BoundValue:
         if cached is not None:
             return cached
         import mpmath  # deferred: most commands never compare magnitudes
+        from mpmath.libmp import round_ceiling, round_floor, to_float
 
         old = mpmath.iv.dps
         try:
@@ -194,7 +201,9 @@ class BoundValue:
             ln10 = mpmath.iv.log(mpmath.iv.mpf(10))
             for base, exp in self._factors:
                 total += mpmath.iv.mpf(exp) * mpmath.iv.log(mpmath.iv.mpf(base)) / ln10
-            result = (float(mpmath.mpf(total.a)), float(mpmath.mpf(total.b)))
+            # round the ends outward, so that the floats still enclose
+            a, b = total._mpi_
+            result = (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
         finally:
             mpmath.iv.dps = old
         self._log10_cache[dps] = result
@@ -240,8 +249,12 @@ class BoundValue:
                 return -1
             if bhi < alo:
                 return 1
+            if dps == 30:  # too close to call: decide exactly when both expand
+                a, b = self.to_int(), o.to_int()
+                if a is not None and b is not None:
+                    return (a > b) - (a < b)
             dps *= 2
-            if dps > 100_000:  # unequal values always separate; defensive
+            if dps > 100_000:  # float ends cannot part values within an ulp of log10
                 raise ArithmeticError("bound comparison failed to converge")
 
     def __lt__(self, other):

@@ -18,7 +18,8 @@ class Caps:
     enumeration_dim      largest total dimension for semisimple enumeration
     center_order         largest center order whose subgroups are enumerated
     subgroup_count       abort subgroup enumeration past this many subgroups
-    search_dim           total-dimension budget for faithful-summand search
+    search_dim           largest total dimension of a faithful representation
+                         searched per simply connected form (doubled from 2)
     closure_order        permutation-group closure limit
     constant_group_order largest |G| for exact Jordan-constant computation
     decimal_digits       largest decimal expansion of a symbolic bound

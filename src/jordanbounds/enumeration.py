@@ -11,9 +11,10 @@ possible center order.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from . import abelian
 from .abelian import CenterSubgroup, FiniteAbelianGroup
@@ -181,41 +182,60 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
     characters all vanish on the kernel.  It is faithful exactly when every
     factor acts nontrivially in some summand and the joint central kernel
     is the quotient kernel, nothing more.
+
+    The form's table for budgets 2, 4, 8, ... up to caps.search_dim is
+    read in turn; a value found within a budget is final.
     """
-    return _min_faithful_search(cls.base, cls.kernel, caps.search_dim)
+    moduli = cls.base.center_moduli
+    kernel_mask = 0
+    for z in cls.kernel:
+        code = 0
+        for x, m in zip(z, moduli):
+            code = code * m + x  # position of z in lexicographic order
+        kernel_mask |= 1 << code
+    budget = 2
+    while True:
+        budget = min(budget, caps.search_dim)
+        found = _faithful_dims(cls.base, budget).get(kernel_mask)
+        if found is not None:
+            return found
+        if budget >= caps.search_dim:
+            # no faithful multiset fits the budget, so the value exceeds it
+            raise CapExceeded(f"faithful search dimension for {cls.name()}",
+                              caps.search_dim, observed=caps.search_dim + 1,
+                              module="semisimple-enumeration")
+        budget *= 2
 
 
 @functools.lru_cache(maxsize=None)
-def _min_faithful_search(base: SemisimpleType, kernel: FrozenSet[Element],
-                         search_dim: int) -> int:
-    nf = len(base.factors)
-    if nf == 0:
-        return 0
-    moduli = base.center_moduli
-    cells = sorted(abelian.elements_of(moduli))
-    index_of = {z: i for i, z in enumerate(cells)}
-    full_mask = (1 << len(cells)) - 1
-    kernel_mask = 0
-    for z in kernel:
-        kernel_mask |= 1 << index_of[z]
-    target_cov = (1 << nf) - 1
+def _faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
+    """Minimal faithful dimension within `budget` of every quotient of one
+    simply connected form, keyed by kernel mask (bit i: the i-th center
+    element in lexicographic order).
 
-    budget = 2
-    while True:
-        budget = min(budget, search_dim)
-        pool = _summand_pool(base, budget)
-        # admissible for this kernel: the character vanishes on all of it,
-        # i.e. the kernel sits inside the summand's zero set
-        summands = [(d, cov, zmask) for d, cov, zmask in pool
-                    if kernel_mask & ~zmask == 0]
-        summands = _prune_dominated(summands)
-        best = _search_min_total(summands, target_cov, kernel_mask, full_mask, budget)
-        if best is not None:
-            return best
-        if budget >= search_dim:
-            raise CapExceeded("faithful search dimension", search_dim,
-                              module="semisimple-enumeration")
-        budget *= 2
+    Dijkstra over states (factor-coverage mask, joint-kernel mask) from
+    (0, whole center), one summand per edge.  A multiset whose joint
+    kernel is exactly K uses only summands whose zero sets contain K, so
+    the distance to (all factors, K) is the minimal dimension for G/K.
+    """
+    full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
+    target = (1 << len(base.factors)) - 1
+    pool = _summand_pool(base, budget)
+    dist = {(0, full): 0}
+    heap = [(0, 0, full)]
+    while heap:
+        d, cov, ker = heapq.heappop(heap)
+        if dist[cov, ker] < d:
+            continue
+        for sd, scov, szero in pool:
+            nd = d + sd
+            if nd > budget:
+                break  # pool sorted by dimension
+            state = (cov | scov, ker & szero)
+            if nd < dist.get(state, nd + 1):
+                dist[state] = nd
+                heapq.heappush(heap, (nd, *state))
+    return {ker: d for (cov, ker), d in dist.items() if cov == target}
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,40 +291,6 @@ def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int
 
     build(0, 1, (0,) * ncells, 0)
     return sorted((d, cov, zmask) for (cov, zmask), d in cheapest.items())
-
-
-def _prune_dominated(summands: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
-    """Drop summands beaten in dimension, coverage and zero set at once;
-    they can never appear in a minimal faithful multiset."""
-    kept: List[Tuple[int, int, int]] = []
-    for d, cov, mask in summands:
-        if any(d2 <= d and cov2 | cov == cov2 and mask2 & mask == mask2
-               for d2, cov2, mask2 in kept):
-            continue
-        kept.append((d, cov, mask))
-    return kept
-
-
-def _search_min_total(summands, target_cov, kernel_mask, full_mask, budget) -> Optional[int]:
-    best: List[Optional[int]] = [None]
-
-    def dfs(start: int, total: int, cov: int, ker: int):
-        if cov == target_cov and ker == kernel_mask:
-            if best[0] is None or total < best[0]:
-                best[0] = total
-            return
-        for j in range(start, len(summands)):
-            d, cj, kj = summands[j]
-            if total + d > budget:
-                break
-            if best[0] is not None and total + d >= best[0]:
-                break
-            if cov | cj == cov and ker & kj == ker:
-                continue  # adds nothing now, hence nothing later
-            dfs(j + 1, total + d, cov | cj, ker & kj)
-
-    dfs(0, 0, 0, full_mask)
-    return best[0]
 
 
 # --- aggregates ------------------------------------------------------------

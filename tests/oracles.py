@@ -5,10 +5,11 @@ over the pruned searches used by the package.
 """
 
 from fractions import Fraction
-from typing import FrozenSet
+from typing import FrozenSet, List, Optional, Tuple
 
 from jordanbounds import abelian
-from jordanbounds.enumeration import IsogenyClass
+from jordanbounds.caps import CapExceeded
+from jordanbounds.enumeration import IsogenyClass, _summand_pool
 from jordanbounds.permgroups import Images, PermGroup, _compose
 from jordanbounds.rootsystems import DominantWeight, build_root_system
 
@@ -105,6 +106,75 @@ def exhaustive_min_faithful(cls: IsogenyClass, cap: int) -> int:
 
     enumerate_multisets(0, 0, [])
     return best
+
+
+def reference_min_faithful(cls: IsogenyClass, search_dim: int) -> int:
+    """Minimal faithful dimension by one pruned depth-first search per
+    kernel: keep the summands whose zero set contains the kernel, drop the
+    dominated ones, and search multisets within budgets 2, 4, 8, ..."""
+    base = cls.base
+    nf = len(base.factors)
+    if nf == 0:
+        return 0
+    moduli = base.center_moduli
+    cells = sorted(abelian.elements_of(moduli))
+    index_of = {z: i for i, z in enumerate(cells)}
+    full_mask = (1 << len(cells)) - 1
+    kernel_mask = 0
+    for z in cls.kernel:
+        kernel_mask |= 1 << index_of[z]
+    target_cov = (1 << nf) - 1
+
+    budget = 2
+    while True:
+        budget = min(budget, search_dim)
+        pool = _summand_pool(base, budget)
+        # admissible for this kernel: the character vanishes on all of it,
+        # i.e. the kernel sits inside the summand's zero set
+        summands = [(d, cov, zmask) for d, cov, zmask in pool
+                    if kernel_mask & ~zmask == 0]
+        summands = _prune_dominated(summands)
+        best = _search_min_total(summands, target_cov, kernel_mask, full_mask, budget)
+        if best is not None:
+            return best
+        if budget >= search_dim:
+            raise CapExceeded("faithful search dimension", search_dim,
+                              module="semisimple-enumeration")
+        budget *= 2
+
+
+def _prune_dominated(summands: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """Drop summands beaten in dimension, coverage and zero set at once;
+    they can never appear in a minimal faithful multiset."""
+    kept: List[Tuple[int, int, int]] = []
+    for d, cov, mask in summands:
+        if any(d2 <= d and cov2 | cov == cov2 and mask2 & mask == mask2
+               for d2, cov2, mask2 in kept):
+            continue
+        kept.append((d, cov, mask))
+    return kept
+
+
+def _search_min_total(summands, target_cov, kernel_mask, full_mask, budget) -> Optional[int]:
+    best: List[Optional[int]] = [None]
+
+    def dfs(start: int, total: int, cov: int, ker: int):
+        if cov == target_cov and ker == kernel_mask:
+            if best[0] is None or total < best[0]:
+                best[0] = total
+            return
+        for j in range(start, len(summands)):
+            d, cj, kj = summands[j]
+            if total + d > budget:
+                break
+            if best[0] is not None and total + d >= best[0]:
+                break
+            if cov | cj == cov and ker & kj == ker:
+                continue  # adds nothing now, hence nothing later
+            dfs(j + 1, total + d, cov | cj, ker & kj)
+
+    dfs(0, 0, 0, full_mask)
+    return best[0]
 
 
 def _cyclic_subgroup(images: Images, degree: int) -> FrozenSet[Images]:

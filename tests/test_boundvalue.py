@@ -82,12 +82,10 @@ def test_digit_cap_controls_expansion():
     (BoundValue.from_int(10 ** 5 - 1), True),
     (BoundValue.from_int(10 ** 5), True),
     (BoundValue([(2, 15), (3, 5), (7, 2)]), True),
-    # the float ends of log10_interval round to nearest, so 10**k - 1 reads
-    # as k + 1 digits once k is large; pinned as it always was
-    (BoundValue.from_int(10 ** 30 - 1), False),
+    (BoundValue.from_int(10 ** 30 - 1), True),
     (BoundValue.from_int(10 ** 30), True),
     (BoundValue([(2, 90), (3, 30), (7, 2)]), True),
-    (BoundValue.from_int(10 ** 100 - 1), False),
+    (BoundValue.from_int(10 ** 100 - 1), True),
     (BoundValue.from_int(10 ** 100), True),
     (BoundValue([(2, 300), (3, 100), (7, 2)]), True),
 ])
@@ -98,6 +96,44 @@ def test_to_int_at_the_digit_cap(value, expands_at_digit_count):
     digits = len(str(exact))
     assert value.to_int(digits) == (exact if expands_at_digit_count else None)
     assert value.to_int(digits - 1) is None
+
+
+@st.composite
+def near_powers(draw):
+    """(BoundValue, exact int) a few units from a power of 10 or of 2; an
+    exact power is also drawn in factored form."""
+    base = draw(st.sampled_from([2, 10]))
+    k = draw(st.integers(1, 400))
+    offset = draw(st.integers(-3, 3))
+    value = base ** k + offset
+    if offset == 0 and draw(st.booleans()):
+        return BoundValue([(base, k)]), value
+    return BoundValue.from_int(max(value, 1)), max(value, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_powers())
+def test_digit_interval_contains_the_digit_count(pair):
+    value, exact = pair
+    lo, hi = value.digits10_interval()
+    assert lo <= len(str(exact)) <= hi
+    assert value.to_int(len(str(exact))) == exact
+    assert value.to_int(len(str(exact)) - 1) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_powers(), near_powers())
+def test_compare_near_powers_matches_int(a, b):
+    (va, ia), (vb, ib) = a, b
+    assert va.compare(vb) == (ia > ib) - (ia < ib)
+
+
+def test_compare_adjacent_big_values_is_exact():
+    above = BoundValue.from_int(10 ** 30)
+    below = BoundValue.from_int(10 ** 30 - 1)
+    assert above.compare(below) == 1
+    assert below.compare(BoundValue([(10, 30)])) == -1
+    assert below.log10_interval()[0] < 30 < below.log10_interval()[1]
 
 
 def test_log10_interval_encloses_truth():

@@ -10,7 +10,7 @@ from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
                                       quotient_center)
 from jordanbounds.rootsystems import SimpleType
 
-from oracles import exhaustive_min_faithful
+from oracles import exhaustive_min_faithful, reference_min_faithful
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -107,8 +107,39 @@ def test_min_faithful_examples():
 
 
 def test_min_faithful_search_cap_is_explicit():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         min_faithful_dim(cls_of(["A2"], [(1,)]), Caps(search_dim=5))
+    assert err.value.what == "faithful search dimension for A2/adj"
+    assert (err.value.limit, err.value.observed) == (5, 6)
+    assert str(err.value) == ("cap exceeded in semisimple-enumeration: faithful search "
+                              "dimension for A2/adj (limit 5, reached at least 6)")
+
+
+def test_min_faithful_agrees_with_per_kernel_search_dim15():
+    count = 0
+    for base in enumerate_semisimple(15):
+        for cls in isogeny_classes(base):
+            got = min_faithful_dim(cls)
+            assert got == reference_min_faithful(cls, DEFAULT_CAPS.search_dim), cls.name()
+            count += 1
+    assert count == 492
+
+
+def test_min_faithful_agrees_with_exhaustive_oracle_dim12_argmax():
+    cls = cls_of(["A1"] * 4, [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1)])
+    assert cls.name() == "A1xA1xA1xA1/(0,0,1,1)+(0,1,0,1)+(1,0,0,1)"
+    assert min_faithful_dim(cls) == 16 == embedding_dim(12)
+    assert exhaustive_min_faithful(cls, 16) == 16
+
+
+def test_all_kernels_of_a_form_share_one_pass():
+    base = SemisimpleType((A1,) * 4)
+    classes = isogeny_classes(base)
+    assert len(classes) == 67
+    enumeration._faithful_dims.cache_clear()
+    values = [min_faithful_dim(cls) for cls in classes]
+    budgets = (max(values) - 1).bit_length()  # 2, 4, ... up to the first >= max
+    assert enumeration._faithful_dims.cache_info().misses <= budgets
 
 
 def test_min_faithful_agrees_with_exhaustive_oracle_dim10():
@@ -133,12 +164,9 @@ def test_direct_sum_bound_over_factors():
 
 
 def test_embedding_dim_values():
-    assert [embedding_dim(n) for n in range(9)] == [0, 0, 0, 3, 3, 3, 6, 6, 8]
-    assert embedding_dim(2) == 0
     # the even-coordinate-sum quotients of SL2 powers dominate from dim 12 on
-    assert embedding_dim(12) == 16
-    assert embedding_dim(15) == 32
-    assert embedding_dim(16) == 32
+    assert [embedding_dim(n) for n in range(21)] == [
+        0, 0, 0, 3, 3, 3, 6, 6, 8, 9, 9, 11, 16, 16, 16, 32, 32, 32, 64, 64, 64]
 
 
 def test_embedding_dim_monotone():
