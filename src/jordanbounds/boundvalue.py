@@ -191,8 +191,18 @@ class BoundValue:
         cached = self._log10_cache.get(dps)
         if cached is not None:
             return cached
-        import mpmath  # deferred: most commands never compare magnitudes
         from mpmath.libmp import round_ceiling, round_floor, to_float
+
+        # round the ends outward, so that the floats still enclose
+        a, b = self._log10_ends(dps)
+        result = (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
+        self._log10_cache[dps] = result
+        return result
+
+    def _log10_ends(self, dps: int):
+        """Ends of an mpmath interval enclosing log10 of a finite value, as
+        raw mpf tuples at dps significant digits."""
+        import mpmath  # deferred: most commands never compare magnitudes
 
         old = mpmath.iv.dps
         try:
@@ -201,13 +211,9 @@ class BoundValue:
             ln10 = mpmath.iv.log(mpmath.iv.mpf(10))
             for base, exp in self._factors:
                 total += mpmath.iv.mpf(exp) * mpmath.iv.log(mpmath.iv.mpf(base)) / ln10
-            # round the ends outward, so that the floats still enclose
-            a, b = total._mpi_
-            result = (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
+            return total._mpi_
         finally:
             mpmath.iv.dps = old
-        self._log10_cache[dps] = result
-        return result
 
     # -- comparisons -------------------------------------------------------
 
@@ -241,21 +247,30 @@ class BoundValue:
             return 1 if self._infinite else -1
         if self == o:
             return 0
-        dps = 30
-        while True:
-            alo, ahi = self.log10_interval(dps)
-            blo, bhi = o.log10_interval(dps)
-            if ahi < blo:
+        alo, ahi = self.log10_interval()
+        blo, bhi = o.log10_interval()
+        if ahi < blo:
+            return -1
+        if bhi < alo:
+            return 1
+        # too close to call: decide exactly when both expand
+        a, b = self.to_int(), o.to_int()
+        if a is not None and b is not None:
+            return (a > b) - (a < b)
+        # else escalate, comparing the interval ends unrounded: float ends
+        # cannot part values whose log10 lie within one ulp
+        from mpmath.libmp import mpf_lt
+
+        dps = 60
+        while dps <= 100_000:
+            alo, ahi = self._log10_ends(dps)
+            blo, bhi = o._log10_ends(dps)
+            if mpf_lt(ahi, blo):
                 return -1
-            if bhi < alo:
+            if mpf_lt(bhi, alo):
                 return 1
-            if dps == 30:  # too close to call: decide exactly when both expand
-                a, b = self.to_int(), o.to_int()
-                if a is not None and b is not None:
-                    return (a > b) - (a < b)
             dps *= 2
-            if dps > 100_000:  # float ends cannot part values within an ulp of log10
-                raise ArithmeticError("bound comparison failed to converge")
+        raise ArithmeticError("bound comparison failed to converge")
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -21,7 +21,7 @@ class Caps:
     search_dim           largest total dimension of a faithful representation
                          searched per simply connected form (doubled from 2)
     closure_order        permutation-group closure limit
-    constant_group_order largest |G| for exact Jordan-constant computation
+    constant_group_order largest |G| whose exact Jordan constant is reported
     decimal_digits       largest decimal expansion of a symbolic bound
     """
 
@@ -61,11 +61,13 @@ def load_caps(path: str) -> Caps:
     """Read cap overrides from a JSON file; unknown keys are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"caps file {path} must hold a JSON object, got {data!r}")
     known = {f.name for f in fields(Caps)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown cap names in {path}: {sorted(unknown)}")
     for key, val in data.items():
-        if not isinstance(val, int) or val <= 0:
+        if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise ValueError(f"cap {key} must be a positive integer, got {val!r}")
     return replace(DEFAULT_CAPS, **data)

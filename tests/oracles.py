@@ -10,7 +10,7 @@ from typing import FrozenSet, List, Optional, Tuple
 from jordanbounds import abelian
 from jordanbounds.caps import CapExceeded
 from jordanbounds.enumeration import IsogenyClass, _summand_pool
-from jordanbounds.permgroups import Images, PermGroup, _compose
+from jordanbounds.permgroups import Images, PermGroup, Permutation, _compose, jordan_index
 from jordanbounds.rootsystems import DominantWeight, build_root_system
 
 
@@ -202,6 +202,36 @@ def _join(a: FrozenSet[Images], b: FrozenSet[Images], degree: int) -> FrozenSet[
                     new.append(x)
         frontier = new
     return frozenset(elems)
+
+
+def reference_subgroups(group: PermGroup) -> List[PermGroup]:
+    """All subgroups, smallest first: cyclic subgroups closed under pairwise
+    joins, each carrying the small generating set it was joined from."""
+    degree = group.degree
+    gens_of = {}
+    for g in sorted(group.elements):
+        gens_of.setdefault(_cyclic_subgroup(g, degree), frozenset([g]))
+    frontier = list(gens_of)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(gens_of):
+                if a <= b or b <= a:
+                    continue  # nested: the join is the larger one
+                joined = _join(gens_of[a], gens_of[b], degree)
+                if joined not in gens_of:
+                    gens_of[joined] = gens_of[a] | gens_of[b]
+                    new.append(joined)
+        frontier = new
+    subs = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    return [PermGroup(degree, tuple(Permutation(g) for g in sorted(gens_of[s])), s)
+            for s in subs]
+
+
+def reference_jordan_constant(group: PermGroup) -> int:
+    """Smallest Jordan constant by its definition: the largest Jordan index
+    over all subgroups."""
+    return max(jordan_index(sub) for sub in reference_subgroups(group))
 
 
 def commuting_closure_max_abelian(group: PermGroup) -> int:

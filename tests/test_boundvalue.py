@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import mpmath
 import pytest
@@ -134,6 +135,17 @@ def test_compare_adjacent_big_values_is_exact():
     assert above.compare(below) == 1
     assert below.compare(BoundValue([(10, 30)])) == -1
     assert below.log10_interval()[0] < 30 < below.log10_interval()[1]
+
+
+def test_compare_separates_values_within_one_ulp_of_log10():
+    # past the digit cap, and their log10 enclosures round to the same floats
+    a = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 39, 1)])
+    b = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 61, 1)])
+    assert a.log10_interval() == b.log10_interval()
+    start = time.perf_counter()
+    assert a.compare(b) == -1
+    assert b.compare(a) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_log10_interval_encloses_truth():

@@ -318,6 +318,20 @@ def test_caps_override(capsys, tmp_path):
     assert code == 1 and "unknown cap" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"closure_order": true}', "cap closure_order must be a positive integer, got True"),
+    ("5", "must hold a JSON object, got 5"),
+    ("null", "must hold a JSON object, got None"),
+])
+def test_caps_file_rejects_non_integers_and_non_objects(capsys, tmp_path, text, message):
+    f = tmp_path / "caps.json"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "--caps", str(f), "nfun", "--dim", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def _run_fresh(cmd):
     """Run ``cmd`` in a fresh interpreter that imports this suite's package."""
     env = dict(os.environ)
