@@ -17,6 +17,7 @@ computation carries a replayable derivation trace.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -35,20 +36,59 @@ BV_INF = boundvalue.INF
 # --- closed-form constants -------------------------------------------------
 
 
+def _inverse_sqrt(r: int, p: int) -> int:
+    """An integer within 2 of 2^p / sqrt(r), for 1 <= r < 2^1000, from
+    multiplications and shifts only.
+
+    Newton's iteration y <- y + y*(2^2q - r*y^2) / 2^(2q+1) refines
+    y ~ 2^q / sqrt(r) from a float start, nearly doubling its good bits per
+    step (Brent & Zimmermann, Modern Computer Arithmetic, 2010).
+    """
+    half = (r.bit_length() + 1) // 2  # y has at most q - half good bits
+    q = min(50 + half, p)
+    y = int(math.ldexp(1.0 / math.sqrt(r), q))
+    while q < p:
+        # squaring the error doubles the good bits, not q: plain doubling
+        # would fall a further `half` bits short on every step
+        nxt = min(2 * q - half - 32, p)
+        e = (1 << 2 * q) - r * y * y
+        y = (y << (nxt - q)) + ((y * e) >> (3 * q + 1 - nxt))
+        q = nxt
+    return y
+
+
+def _floor_mul_sqrt(b: int, r: int) -> int:
+    """floor(b * sqrt(r)) for integers b >= 0 and 1 <= r < 2^1000, with no
+    division: root = b*r*y / 2^p for y ~ 2^p / sqrt(r), then stepped until
+    root^2 <= b^2*r < (root+1)^2, so it is exact whatever y's error."""
+    if b == 0:
+        return 0
+    p = b.bit_length() + r.bit_length() + 32
+    root = (b * r * _inverse_sqrt(r, p)) >> p
+    d = b * b * r - root * root
+    while d < 0:
+        root -= 1
+        d += 2 * root + 1
+    while d > 2 * root:
+        d -= 2 * root + 1
+        root += 1
+    return root
+
+
+@functools.lru_cache(maxsize=None)
 def gl_jordan_bound(n: int) -> int:
     """Jordan's constant for the n-dimensional general linear group:
     the largest integer strictly below (sqrt(8n) + 1)^(2n^2).
 
     Computed exactly in the quadratic ring Z[sqrt(8n)]: write the power as
-    A + B*sqrt(8n); its floor is A + isqrt(8n*B^2), and when 8n is a perfect
-    square the power is an integer and strictness costs one.
+    A + B*sqrt(8n); its floor is A + floor(B*sqrt(8n)), and when 8n is a
+    perfect square the power is an integer and strictness costs one.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if n == 0:
         return 1  # the trivial group
     radicand = 8 * n
-    exponent = 2 * n * n
 
     def mul(x, y):
         a, b = x
@@ -57,17 +97,19 @@ def gl_jordan_bound(n: int) -> int:
 
     acc = (1, 0)
     base = (1, 1)
-    e = exponent
-    while e:
+    e = 2 * n * n
+    while True:
         if e & 1:
             acc = mul(acc, base)
-        base = mul(base, base)
         e >>= 1
+        if not e:  # the next square would go unused
+            break
+        base = mul(base, base)
     a, b = acc
-    root = math.isqrt(b * b * radicand)
-    if root * root == b * b * radicand:
-        return a + root - 1
-    return a + root
+    sqrt_r = math.isqrt(radicand)
+    if sqrt_r * sqrt_r == radicand:  # b > 0, so b^2*8n is a square iff 8n is
+        return a + b * sqrt_r - 1
+    return a + _floor_mul_sqrt(b, radicand)
 
 
 def _primes_up_to(n: int) -> List[int]:

@@ -312,3 +312,23 @@ def reference_quotient_invariants(moduli, sub):
             k += 1
         orders.append(k)
     return abelian.invariants_from_orders(orders)
+
+
+def reference_gl_floor(n: int, value: int) -> bool:
+    """Whether value < (1 + sqrt(8n))^(2n^2) <= value + 1, for n >= 1.
+
+    The power is expanded as A + B*sqrt(8n) by square-and-multiply in
+    Z[sqrt(8n)]; the two inequalities on B*sqrt(8n) are then decided by
+    comparing integer squares, with no square root taken.
+    """
+    r = 8 * n
+    a, b = 1, 0
+    for bit in bin(2 * n * n)[2:]:  # left to right: square, then maybe times 1 + sqrt(r)
+        a, b = a * a + b * b * r, 2 * a * b
+        if bit == "1":
+            a, b = a + b * r, a + b
+    d = value - a  # the claim is d < B*sqrt(r) <= d + 1
+    b2r = b * b * r
+    below = d < 0 or d * d < b2r
+    reached = d + 1 >= 0 and b2r <= (d + 1) * (d + 1)
+    return below and reached

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanbounds import boundvalue
 from jordanbounds.boundvalue import INF, ONE, BoundValue, _coprime_basis, bv_min
 from jordanbounds.extnat import INF as EN_INF
 from jordanbounds.extnat import ExtNat
@@ -243,3 +245,29 @@ def test_bases_past_the_str_digit_limit_render_and_serialise(int_str_limit):
     assert past_cap.to_json()["factors"] == [["2", "10000000"], [text, "1"]]
     sys.set_int_max_str_digits(4300)
     assert past_cap.render().startswith(f"2^10000000 * {text} (~10^[")
+
+
+def test_decimal_matches_str_on_both_sides_of_the_split(int_str_limit):
+    sys.set_int_max_str_digits(0)
+    split = boundvalue._DECIMAL_SPLIT_BITS
+    rng = random.Random(8)
+    sizes = [1, 64, split - 1, split, split + 1, 2 * split, 100_003, 400_000]
+    for bits in sizes:
+        for value in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << bits):
+            assert boundvalue.decimal(value) == str(value)
+    value = rng.getrandbits(3 * split)
+    assert boundvalue.decimal(-value) == str(-value)
+    assert boundvalue.decimal(0) == "0"
+    assert boundvalue.decimal(10 ** 20_000) == "1" + "0" * 20_000
+
+
+def test_render_of_a_value_past_the_split_leaves_the_str_digit_limit(int_str_limit):
+    sys.set_int_max_str_digits(0)
+    value = 3 ** 419_179
+    want = str(value)
+    assert len(want) == 200_000
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    bound = BoundValue.from_int(3).pow(419_179)
+    assert bound.render() == want
+    assert BoundValue.from_int(value).to_json()["decimal"] == want
+    assert sys.get_int_max_str_digits() == 4300

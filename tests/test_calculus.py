@@ -1,9 +1,12 @@
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanbounds import calculus as calc
+from jordanbounds import dsl
 from jordanbounds.boundvalue import BoundValue, ONE as BV_ONE
 from jordanbounds.calculus import (BoundTriple, TRIVIAL_TRIPLE, combine_extension,
                                    combine_product, gl_jordan_bound, leaf_triple,
@@ -11,6 +14,8 @@ from jordanbounds.calculus import (BoundTriple, TRIVIAL_TRIPLE, combine_extensio
                                    semisimple_jordan_bound)
 from jordanbounds.caps import CapExceeded, Caps
 from jordanbounds.extnat import INF, ExtNat
+
+from oracles import reference_gl_floor
 
 
 def bv(n):
@@ -35,6 +40,49 @@ def test_gl_jordan_bound_is_exact_floor():
         true = (mpmath.iv.sqrt(8 * n) + 1) ** (2 * n * n)
         assert mpmath.iv.mpf(v) < true
         assert true < mpmath.iv.mpf(v + 2)
+
+
+# every n <= 256 with 8n a perfect square: 8 * 2m^2 = (4m)^2
+SQUARE_RADICANDS = [2 * m * m for m in range(1, 12)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 97, 127, 190, 192, 255, 256] + SQUARE_RADICANDS)
+def test_gl_jordan_bound_matches_the_exact_floor_oracle(n):
+    # value < x <= value + 1 has one integer solution, so this pins the value
+    assert reference_gl_floor(n, gl_jordan_bound(n))
+
+
+def test_reference_gl_floor_decides_small_cases():
+    assert reference_gl_floor(1, 14)  # (1 + sqrt 8)^2 = 9 + 2 sqrt 8 = 14.65...
+    assert not reference_gl_floor(1, 15) and not reference_gl_floor(1, 13)
+    assert reference_gl_floor(2, 5 ** 8 - 1)  # (1 + 4)^8 is an integer
+    assert not reference_gl_floor(2, 5 ** 8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(0), st.integers(0, 2 ** 64), st.integers(0, 2 ** 3000),
+                 st.builds(lambda k, off: max(0, (1 << k) + off),  # near powers of two
+                           st.integers(0, 3000), st.integers(-3, 3))),
+       st.one_of(st.integers(1, 5000), st.integers(1, 70).map(lambda k: k * k)))
+def test_floor_mul_sqrt_matches_isqrt(b, r):
+    assert calc._floor_mul_sqrt(b, r) == math.isqrt(b * b * r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 8, 1000, 2040, 2047, 4999])
+def test_inverse_sqrt_is_within_two_of_the_truth(r):
+    for p in range(1, 4000, 3):
+        y = calc._inverse_sqrt(r, p)
+        # y - 2 < 2^p / sqrt(r) < y + 2, squared
+        assert (y < 2 or r * (y - 2) ** 2 < 4 ** p) and 4 ** p < r * (y + 2) ** 2, p
+
+
+def test_gl_jordan_bound_is_computed_once_per_n():
+    gl_jordan_bound.cache_clear()
+    triple, trace = dsl.evaluate(dsl.parse("product(gl(40), gl_q(40))"))
+    replayed = trace.replay()
+    assert replayed.j == triple.j
+    info = gl_jordan_bound.cache_info()
+    assert info.misses == 1 and info.hits >= 3
 
 
 def test_minkowski_values():

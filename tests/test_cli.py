@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -175,6 +176,26 @@ def test_big_cnbound_and_minkowski_print_exact_values(capsys, int_str_limit):
         outputs.append(out)
     sys.set_int_max_str_digits(0)
     assert outputs == [f"{gl_jordan_bound(41)}\n", f"{minkowski_bound(1332)}\n"]
+
+
+# sha256 of stdout, recorded before the GL floor and the large decimals
+# were computed without quadratic steps; the bytes must not move
+PINNED_STDOUT_SHA256 = [
+    (["cnbound", "--n", "200"],
+     "8bc334b52da695fb5e33443544ff4d6f3b90346cddc1eb4097cb8e6d3ea95c3c"),
+    (["--json", "cnbound", "--n", "256"],
+     "95a3ab65f451557209c9554a0309000afeeb2702602769c6179484aac7e4b7b5"),
+    (["--json", "bound", "dsl", "--expr", "product(connected(5), torus(3))"],
+     "8da8b32654821af0ddb5e1c72d37eeaf9766d9994a8d8f159fed3e4009f2c642"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT_SHA256,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT_SHA256])
+def test_big_exact_outputs_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_nfun(capsys):
