@@ -125,7 +125,7 @@ def _factor_over_basis(n: int, exp: int, basis: List[int], out: Dict[int, int]):
 class BoundValue:
     """Positive integer held as an unexpanded product of powers, or infinity."""
 
-    __slots__ = ("_factors", "_infinite", "_log10_cache")
+    __slots__ = ("_factors", "_infinite")
 
     def __init__(self, factors: Iterable[Tuple[int, int]] = (), *, infinite: bool = False):
         merged: Dict[int, int] = {}
@@ -140,7 +140,6 @@ class BoundValue:
                 merged[base] = merged.get(base, 0) + exp
         object.__setattr__(self, "_factors", tuple(sorted(merged.items())))
         object.__setattr__(self, "_infinite", infinite)
-        object.__setattr__(self, "_log10_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("BoundValue is immutable")
@@ -230,20 +229,15 @@ class BoundValue:
 
     # -- certified log10 ---------------------------------------------------
 
-    def log10_interval(self, dps: int = 30) -> Tuple[float, float]:
+    def log10_interval(self) -> Tuple[float, float]:
         """Certified enclosure of log10 of the value (interval arithmetic)."""
         if self._infinite:
             return (math.inf, math.inf)
-        cached = self._log10_cache.get(dps)
-        if cached is not None:
-            return cached
         from mpmath.libmp import round_ceiling, round_floor, to_float
 
         # round the ends outward, so that the floats still enclose
-        a, b = self._log10_ends(dps)
-        result = (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
-        self._log10_cache[dps] = result
-        return result
+        a, b = self._log10_ends(30)
+        return (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
 
     def _log10_ends(self, dps: int):
         """Ends of an mpmath interval enclosing log10 of a finite value, as

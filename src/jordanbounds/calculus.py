@@ -162,8 +162,8 @@ class BoundTriple:
     __hash__ = None
 
     def __post_init__(self):
-        if not self.j.is_infinite and self.j.compare(BV_ONE) < 0:
-            raise ValueError("Jordan bound must be at least 1")
+        # j >= 1 holds by construction: BoundValue admits no base below 1
+        # and no negative exponent
         if self.bd < 1:
             raise ValueError("order bound must be at least 1")
         if self.bd.is_finite and not self.j.is_infinite:
@@ -446,10 +446,9 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
               "commutator subgroup of order at most n^n, the largest center "
               "order among semisimple groups of dimension at most n",
               (n,), order)
-    order_int = order.to_int(max_digits=10 ** 7)
-    commutator_leaf = leaf_triple("finite", order_int, caps)
-    trace.add("leaf", "leaf finite", _LEAF_STATEMENTS["finite"],
-              ("finite", order_int), commutator_leaf)
+    commutator_leaf, leaf_trace = leaf_with_trace(
+        "finite", order.to_int(max_digits=10 ** 7), caps)
+    trace.extend(leaf_trace)
     rank = rank_bound_mod_commutator(n, m, caps)
     trace.add("rank_bound_mod_commutator", "rank modulo central commutator",
               "finite abelian subgroups of the quotient by the central "

@@ -21,7 +21,6 @@ class Caps:
     search_dim           largest total dimension of a faithful representation
                          searched per simply connected form (doubled from 2)
     closure_order        permutation-group closure limit
-    constant_group_order largest |G| whose exact Jordan constant is reported
     decimal_digits       largest decimal expansion of a symbolic bound
     """
 
@@ -30,7 +29,6 @@ class Caps:
     subgroup_count: int = 100_000
     search_dim: int = 512
     closure_order: int = 10_000
-    constant_group_order: int = 2_000
     decimal_digits: int = 1_000_000
 
 

@@ -195,7 +195,7 @@ def _run(args, caps: Caps) -> int:
             _emit(args, {**base, "value": str(value)}, [str(value)])
             return 0
         if args.what == "constant":
-            value = permgroups.jordan_constant(group, caps)
+            value = permgroups.jordan_constant(group)
             _emit(args, {**base, "value": str(value)}, [str(value)])
             return 0
         if args.what == "rkf":
@@ -206,7 +206,7 @@ def _run(args, caps: Caps) -> int:
                   [str(value)])
             return 0
         report = permgroups.verify_bound(group, args.context, caps)
-        _emit(args, {**base, **report.to_json(digits)}, report.lines())
+        _emit(args, {**base, **report.to_json(digits)}, report.lines(digits))
         return 0
 
     raise AssertionError(f"unhandled verb {args.verb}")

@@ -13,6 +13,7 @@ points are omitted and '#' starts a comment.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -53,12 +54,7 @@ class Permutation:
         return Permutation(tuple(out))
 
     def order(self) -> int:
-        order = 1
-        for cyc in self.cycles():
-            k = len(cyc)
-            g = _gcd(order, k)
-            order = order // g * k
-        return order
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> List[Tuple[int, ...]]:
         seen = [False] * self.degree
@@ -100,12 +96,6 @@ class Permutation:
         if leftover:
             raise ValueError(f"cannot parse cycles {text!r}")
         return cls(tuple(images))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -261,15 +251,11 @@ def jordan_index(group: PermGroup) -> int:
     return group.order // best
 
 
-def jordan_constant(group: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
+def jordan_constant(group: PermGroup) -> int:
     """Exact smallest Jordan constant, which is the Jordan index.
 
     For an abelian A <= G of least index and any H <= G: [H : H & A] = |HA|/|A| <= [G : A].
     """
-    if group.order > caps.constant_group_order:
-        raise CapExceeded("exact Jordan constant group order",
-                          caps.constant_group_order,
-                          observed=group.order, module="finite-groups")
     return jordan_index(group)
 
 
@@ -295,13 +281,13 @@ class VerifyReport:
     bound: BoundValue
     order: int
     jordan_index: int
-    jordan_constant: Optional[int]
+    jordan_constant: int
     passed: bool
 
-    def lines(self, max_digits: int = 10_000) -> List[str]:
+    def lines(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> List[str]:
         out = [f"group order {self.order}",
                f"jordan index {self.jordan_index}",
-               f"jordan constant {self.jordan_constant if self.jordan_constant is not None else 'not computed (cap)'}",
+               f"jordan constant {self.jordan_constant}",
                f"context {self.context}",
                f"bound {self.bound.render(max_digits)}",
                "PASS" if self.passed else "FAIL"]
@@ -312,7 +298,7 @@ class VerifyReport:
             "context": self.context,
             "order": str(self.order),
             "jordan_index": str(self.jordan_index),
-            "jordan_constant": None if self.jordan_constant is None else str(self.jordan_constant),
+            "jordan_constant": str(self.jordan_constant),
             "bound": self.bound.to_json(max_digits),
             "pass": self.passed,
         }
@@ -340,13 +326,9 @@ def verify_bound(group: PermGroup, context: str, caps: Caps = DEFAULT_CAPS) -> V
     context; that is not checked here."""
     bound = context_bound(context, caps)
     index = jordan_index(group)
-    try:
-        constant = jordan_constant(group, caps)
-    except CapExceeded:
-        constant = None
-    # a reported constant equals the index, so the index alone is compared
+    # the exact Jordan constant of a finite group is its Jordan index
     return VerifyReport(context=context, bound=bound, order=group.order,
-                        jordan_index=index, jordan_constant=constant,
+                        jordan_index=index, jordan_constant=index,
                         passed=BoundValue.from_int(index).compare(bound) <= 0)
 
 

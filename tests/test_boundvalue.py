@@ -38,6 +38,19 @@ def test_construction_and_identity():
     assert (ONE * ONE).is_one
     with pytest.raises(ValueError):
         BoundValue.from_int(0)
+    # these checks are what keep every finite value at least 1
+    with pytest.raises(ValueError):
+        BoundValue([(0, 1)])
+    with pytest.raises(ValueError):
+        BoundValue([(2, -1)])
+    with pytest.raises(ValueError):
+        BoundValue.from_int(5).pow(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(0, 10 ** 4)), max_size=5))
+def test_every_finite_value_is_at_least_one(factors):
+    assert BoundValue(factors).compare(ONE) >= 0
 
 
 def test_equality_is_mathematical():

@@ -222,6 +222,19 @@ def test_combined_triples_keep_invariants(a, b):
             assert out.j.compare(bv(int(out.bd))) <= 0
 
 
+def test_triples_with_an_infinite_order_bound_need_no_logarithm(monkeypatch):
+    def no_log10(self, dps):
+        raise AssertionError("certified log10 evaluated")
+
+    monkeypatch.setattr(BoundValue, "_log10_ends", no_log10)
+    gl64, _ = leaf_with_trace("gl_field", 64)
+    assert not gl64.bd.is_finite
+    out, _ = combine_product(gl64, gl64)
+    assert out.j == gl64.j * gl64.j
+    triple, _ = calc.connected_triple(2)
+    assert not triple.bd.is_finite
+
+
 # --- reductive / connected / variety bounds ----------------------------------------
 
 

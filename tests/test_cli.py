@@ -145,7 +145,7 @@ VERIFY_SCHEMA = {
                    "degree": {"type": "integer"}, "order": {"type": "string"},
                    "context": {"type": "string"},
                    "jordan_index": {"type": "string"},
-                   "jordan_constant": {"type": ["string", "null"]},
+                   "jordan_constant": {"type": "string"},
                    "bound": BOUNDVALUE_SCHEMA, "pass": {"type": "boolean"}},
     "required": ["command", "file", "order", "context", "jordan_index",
                  "jordan_constant", "bound", "pass"],
@@ -317,6 +317,33 @@ def test_finite_verify(capsys):
     assert code == 0 and out.splitlines()[-1] == "PASS"
 
 
+def test_finite_constant_past_order_2000(capsys, tmp_path):
+    f = tmp_path / "s5xs4.grp"
+    f.write_text("degree 9\n(1 2 3 4 5)\n(1 2)\n(6 7 8 9)\n(6 7)\n")
+    code, out, err = run_cli(capsys, "finite", "constant", "--file", str(f))
+    assert (code, out, err) == (0, "120\n", "")
+    code, out, err = run_cli(capsys, "finite", "verify", "--file", str(f),
+                             "--context", "gl_dim:3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:3] == ["group order 2880", "jordan index 120",
+                                    "jordan constant 120"]
+
+
+def test_text_verify_expands_the_bound_up_to_the_digit_cap(capsys, tmp_path):
+    argv = ("finite", "verify", "--file", corpus_path("z2.grp"), "--context", "gl_dim:64")
+    code, out, _ = run_cli(capsys, *argv)
+    expected = str(gl_jordan_bound(64))
+    assert len(expected) > 10_000
+    assert code == 0 and f"bound {expected}" in out.splitlines()
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert json.loads(out)["bound"]["decimal"] == expected
+    f = tmp_path / "caps.json"
+    f.write_text(json.dumps({"decimal_digits": 100}))
+    code, out, _ = run_cli(capsys, "--caps", str(f), *argv)
+    bound = next(line for line in out.splitlines() if line.startswith("bound "))
+    assert code == 0 and bound == f"bound {expected} (~10^[11251, 11251])"
+
+
 def test_error_paths(capsys):
     code, _, err = run_cli(capsys, "bound", "dsl", "--expr", "torus(")
     assert code == 1 and "error" in err
@@ -337,6 +364,12 @@ def test_caps_override(capsys, tmp_path):
     f.write_text(json.dumps({"no_such_cap": 1}))
     code, _, err = run_cli(capsys, "--caps", str(f), "nfun", "--dim", "8")
     assert code == 1 and "unknown cap" in err
+    # the Jordan constant is the index, so no cap is left on it
+    f.write_text(json.dumps({"constant_group_order": 5000}))
+    code, out, err = run_cli(capsys, "--caps", str(f), "finite", "constant",
+                             "--file", corpus_path("a5.grp"))
+    assert code == 1 and out == ""
+    assert "unknown cap names" in err and "constant_group_order" in err
 
 
 @pytest.mark.parametrize("text,message", [
