@@ -232,19 +232,13 @@ class DerivationTrace:
             redone = fn(*step.inputs)
             if isinstance(redone, tuple):  # a (value, trace) pair
                 redone = redone[0]
-            if not _same(redone, step.output):
+            if redone != step.output:
                 raise AssertionError(f"trace step {step.op} does not replay: "
                                      f"{redone} != {step.output}")
         return self.final
 
     def to_json(self) -> list:
         return [s.to_json() for s in self.steps]
-
-
-def _same(a, b) -> bool:
-    if isinstance(a, BoundTriple) and isinstance(b, BoundTriple):
-        return a.j == b.j and a.rkf == b.rkf and a.bd == b.bd
-    return a == b
 
 
 # --- leaves ------------------------------------------------------------------

@@ -19,7 +19,7 @@ class Caps:
     center_order         largest center order whose subgroups are enumerated
     subgroup_count       abort subgroup enumeration past this many subgroups
     search_dim           largest total dimension of a faithful representation
-                         searched per simply connected form (doubled from 2)
+                         searched per simply connected form, in one pass
     closure_order        permutation-group closure limit
     decimal_digits       largest decimal expansion of a symbolic bound
     """

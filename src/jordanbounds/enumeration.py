@@ -183,8 +183,8 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
     factor acts nontrivially in some summand and the joint central kernel
     is the quotient kernel, nothing more.
 
-    The form's table for budgets 2, 4, 8, ... up to caps.search_dim is
-    read in turn; a value found within a budget is final.
+    One shortest-path pass per form, at caps.search_dim, settles every
+    kernel at once.
     """
     moduli = cls.base.center_moduli
     kernel_mask = 0
@@ -193,25 +193,21 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
         for x, m in zip(z, moduli):
             code = code * m + x  # position of z in lexicographic order
         kernel_mask |= 1 << code
-    budget = 2
-    while True:
-        budget = min(budget, caps.search_dim)
-        found = _faithful_dims(cls.base, budget).get(kernel_mask)
-        if found is not None:
-            return found
-        if budget >= caps.search_dim:
-            # no faithful multiset fits the budget, so the value exceeds it
-            raise CapExceeded(f"faithful search dimension for {cls.name()}",
-                              caps.search_dim, observed=caps.search_dim + 1,
-                              module="semisimple-enumeration")
-        budget *= 2
+    found = _faithful_dims(cls.base, caps.search_dim).get(kernel_mask)
+    if found is None:
+        # no faithful multiset fits the budget, so the value exceeds it
+        raise CapExceeded(f"faithful search dimension for {cls.name()}",
+                          caps.search_dim, observed=caps.search_dim + 1,
+                          module="semisimple-enumeration")
+    return found
 
 
 @functools.lru_cache(maxsize=None)
 def _faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
-    """Minimal faithful dimension within `budget` of every quotient of one
-    simply connected form, keyed by kernel mask (bit i: the i-th center
-    element in lexicographic order).
+    """Minimal faithful dimension within `budget` (caps.search_dim) of every
+    quotient of one simply connected form, keyed by kernel mask (bit i: the
+    i-th center element in lexicographic order).  A quotient missing from
+    the table needs more than `budget`.
 
     Dijkstra over states (factor-coverage mask, joint-kernel mask) from
     (0, whole center), one summand per edge.  A multiset whose joint
@@ -238,14 +234,15 @@ def _faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
     return {ker: d for (cov, ker), d in dist.items() if cov == target}
 
 
-@functools.lru_cache(maxsize=None)
 def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int]]:
-    """Kernel-independent summand candidates for one simply connected form.
+    """Kernel-independent summand candidates within `budget` for one form.
 
     Each entry is (dimension, factor-coverage mask, zero-set mask), the zero
     set being the subgroup of the center on which the summand's central
     character vanishes.  Entries sharing coverage and zero set are collapsed
     to the cheapest dimension; the pool is shared by every central kernel.
+    Both masks see a factor's weight only through whether it acts and its
+    central character, so each factor offers its cheapest weight per pair.
     """
     systems = [build_root_system(f) for f in base.factors]
     nf = len(systems)
@@ -260,7 +257,7 @@ def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int
     for fi, rs in enumerate(systems):
         lo, hi = blocks[fi]
         rows = []
-        for coords, wdim, chars in rs.weights_up_to(budget):
+        for coords, wdim, chars in rs.cheapest_per_character():
             ints = [int(c * denom) % denom for c in chars]
             contrib = tuple(sum(zi * ci for zi, ci in zip(z[lo:hi], ints)) % denom
                             for z in cells)

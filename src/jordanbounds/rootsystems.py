@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .abelian import CenterSubgroup, FiniteAbelianGroup
 from .caps import CapExceeded
@@ -247,7 +247,6 @@ class RootSystem:
                 f"{simple_type}: Cartan cokernel {center} disagrees with the "
                 f"classification table {simple_type.center_factors}")
         self.center = FiniteAbelianGroup(center)
-        self._weights_cache: Tuple[int, list] = (0, [])
 
     def _closure(self) -> List[Tuple[int, ...]]:
         n = self.rank
@@ -317,29 +316,35 @@ class RootSystem:
     def weights_up_to(self, max_dim: int) -> List[Tuple[Tuple[int, ...], int, Tuple[Fraction, ...]]]:
         """All dominant weights of representation dimension <= max_dim.
 
-        Returns (coords, dim, character values), sorted by dimension.  The
-        Weyl dimension is strictly increasing in every coordinate, so the
+        Returns (coords, dim, character values), sorted by (dim, coords).
+        The Weyl dimension is strictly increasing in every coordinate, so the
         search box prunes itself.
         """
-        cached_bound, cached = self._weights_cache
-        if cached_bound < max_dim:
-            found: Dict[Tuple[int, ...], Tuple] = {}
+        found = []
+        stack = [((0,) * self.rank, 0)]
+        while stack:
+            coords, start = stack.pop()
+            w = DominantWeight(coords)
+            d = self.weyl_dim(w)
+            if d > max_dim:
+                continue
+            found.append((coords, d, self.character_values(w)))
+            for j in range(start, self.rank):
+                stack.append((coords[:j] + (coords[j] + 1,) + coords[j + 1:], j))
+        return sorted(found, key=lambda t: (t[1], t[0]))
 
-            def grow(start: int, coords: List[int]):
-                w = DominantWeight(tuple(coords))
-                d = self.weyl_dim(w)
-                if d > max_dim:
-                    return
-                found[w.coords] = (w.coords, d, self.character_values(w))
-                for j in range(start, self.rank):
-                    coords[j] += 1
-                    grow(j, coords)
-                    coords[j] -= 1
-
-            grow(0, [0] * self.rank)
-            cached = sorted(found.values(), key=lambda t: (t[1], t[0]))
-            self._weights_cache = (max_dim, cached)
-        return [t for t in cached if t[1] <= max_dim]
+    def cheapest_per_character(self) -> List[Tuple[Tuple[int, ...], int, Tuple[Fraction, ...]]]:
+        """The zero weight and the cheapest nonzero dominant weight of each
+        central character: |Z| + 1 rows in weights_up_to's order, found by
+        doubling a budget from 2 until every character has appeared."""
+        budget = 2
+        while True:
+            best = {}
+            for coords, d, chars in self.weights_up_to(budget):
+                best.setdefault((any(coords), chars), (coords, d, chars))
+            if len(best) == self.center.order + 1:
+                return list(best.values())
+            budget *= 2
 
 
 @lru_cache(maxsize=None)

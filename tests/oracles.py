@@ -4,12 +4,14 @@ Everything here prefers exhaustive enumeration and direct definition checks
 over the pruned searches used by the package.
 """
 
+import functools
+import math
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from jordanbounds import abelian
 from jordanbounds.caps import CapExceeded
-from jordanbounds.enumeration import IsogenyClass, _summand_pool
+from jordanbounds.enumeration import IsogenyClass, SemisimpleType
 from jordanbounds.permgroups import Images, PermGroup, Permutation, _compose, jordan_index
 from jordanbounds.rootsystems import DominantWeight, build_root_system
 
@@ -128,7 +130,7 @@ def reference_min_faithful(cls: IsogenyClass, search_dim: int) -> int:
     budget = 2
     while True:
         budget = min(budget, search_dim)
-        pool = _summand_pool(base, budget)
+        pool = reference_summand_pool(base, budget)
         # admissible for this kernel: the character vanishes on all of it,
         # i.e. the kernel sits inside the summand's zero set
         summands = [(d, cov, zmask) for d, cov, zmask in pool
@@ -141,6 +143,58 @@ def reference_min_faithful(cls: IsogenyClass, search_dim: int) -> int:
             raise CapExceeded("faithful search dimension", search_dim,
                               module="semisimple-enumeration")
         budget *= 2
+
+
+@functools.lru_cache(maxsize=None)
+def reference_summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int]]:
+    """The summand pool built from every dominant weight of every factor
+    within the budget: (dimension, factor-coverage mask, zero-set mask),
+    collapsed to the cheapest dimension per pair of masks, sorted.  Cached
+    because reference_min_faithful asks for it once per kernel."""
+    systems = [build_root_system(f) for f in base.factors]
+    nf = len(systems)
+    moduli = base.center_moduli
+    cells = sorted(abelian.elements_of(moduli))
+    ncells = len(cells)
+    denom = math.lcm(1, *moduli)
+    blocks = base.center_blocks
+
+    # character contribution of one factor weight on every center element
+    per: List[List[Tuple[int, int, Tuple[int, ...]]]] = []
+    for fi, rs in enumerate(systems):
+        lo, hi = blocks[fi]
+        rows = []
+        for coords, wdim, chars in rs.weights_up_to(budget):
+            ints = [int(c * denom) % denom for c in chars]
+            contrib = tuple(sum(zi * ci for zi, ci in zip(z[lo:hi], ints)) % denom
+                            for z in cells)
+            rows.append((wdim, 1 if any(coords) else 0, contrib))
+        per.append(rows)
+
+    cheapest: Dict[Tuple[int, int], int] = {}
+
+    def build(fi: int, dimprod: int, vals: Tuple[int, ...], cov: int):
+        if fi == nf:
+            if cov == 0:
+                return
+            zmask = 0
+            for idx in range(ncells):
+                if vals[idx] % denom == 0:
+                    zmask |= 1 << idx
+            k = (cov, zmask)
+            if k not in cheapest or dimprod < cheapest[k]:
+                cheapest[k] = dimprod
+            return
+        for wdim, nz, contrib in per[fi]:
+            ndim = dimprod * wdim
+            if ndim > budget:
+                break  # weights sorted by dimension
+            build(fi + 1, ndim,
+                  tuple(v + c for v, c in zip(vals, contrib)),
+                  cov | (nz << fi))
+
+    build(0, 1, (0,) * ncells, 0)
+    return sorted((d, cov, zmask) for (cov, zmask), d in cheapest.items())
 
 
 def _prune_dominated(summands: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:

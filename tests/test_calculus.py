@@ -307,7 +307,7 @@ def test_traces_replay_and_serialize():
                   lambda: leaf_with_trace("gl_rational", 2)):
         triple, trace = maker()
         final = trace.replay()
-        assert calc._same(final, triple)
+        assert final == triple
         data = trace.to_json()
         assert all({"op", "rule", "statement", "inputs", "output"} <= set(d) for d in data)
 

@@ -7,7 +7,7 @@ import pytest
 
 from jordanbounds import dsl
 from jordanbounds.boundvalue import BoundValue, ONE as BV_ONE
-from jordanbounds.calculus import BoundTriple, _same
+from jordanbounds.calculus import BoundTriple
 from jordanbounds.caps import CapExceeded, Caps
 from jordanbounds.dsl import (Extension, Leaf, ParseError, Product, Semisimple,
                               evaluate, parse, parse_file_text, print_expr)
@@ -217,8 +217,8 @@ def test_traces_replay_to_result():
     for _ in range(40):
         e = _random_expr(rng, 2, evaluable=True)
         triple, trace = evaluate(e)
-        assert _same(trace.final, triple)
-        assert _same(trace.replay(), triple)
+        assert trace.final == triple
+        assert trace.replay() == triple
 
 
 def test_bir_connected_matches_aut0():

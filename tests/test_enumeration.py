@@ -10,7 +10,7 @@ from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
                                       quotient_center)
 from jordanbounds.rootsystems import SimpleType
 
-from oracles import exhaustive_min_faithful, reference_min_faithful
+from oracles import exhaustive_min_faithful, reference_min_faithful, reference_summand_pool
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -137,9 +137,18 @@ def test_all_kernels_of_a_form_share_one_pass():
     classes = isogeny_classes(base)
     assert len(classes) == 67
     enumeration._faithful_dims.cache_clear()
-    values = [min_faithful_dim(cls) for cls in classes]
-    budgets = (max(values) - 1).bit_length()  # 2, 4, ... up to the first >= max
-    assert enumeration._faithful_dims.cache_info().misses <= budgets
+    for cls in classes:
+        min_faithful_dim(cls)
+    assert enumeration._faithful_dims.cache_info().misses == 1
+
+
+def test_summand_pool_matches_all_weights_reference():
+    forms = [b for b in enumerate_semisimple(20) if not b.is_trivial]
+    assert len(forms) == 24
+    for base in forms:
+        for budget in (2, 3, 5, 8, 16, 32, 64, 128):
+            assert (enumeration._summand_pool(base, budget)
+                    == reference_summand_pool(base, budget)), (str(base), budget)
 
 
 def test_min_faithful_agrees_with_exhaustive_oracle_dim10():

@@ -159,3 +159,13 @@ def test_weight_parsing():
         DominantWeight.parse("1,0")
     with pytest.raises(ValueError):
         DominantWeight((-1,))
+
+
+def test_weights_up_to_reaches_budget_1024_in_order():
+    rows = build_root_system(A1).weights_up_to(1024)
+    assert [(coords, d) for coords, d, _ in rows] == [((d - 1,), d) for d in range(1, 1025)]
+    a2 = build_root_system(SimpleType("A", 2)).weights_up_to(15)
+    assert [(c, d) for c, d, _ in a2] == [((0, 0), 1), ((0, 1), 3), ((1, 0), 3),
+                                          ((0, 2), 6), ((2, 0), 6), ((1, 1), 8),
+                                          ((0, 3), 10), ((3, 0), 10), ((0, 4), 15),
+                                          ((1, 2), 15), ((2, 1), 15), ((4, 0), 15)]
