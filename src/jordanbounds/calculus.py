@@ -26,8 +26,10 @@ from typing import Callable, Dict, List, Tuple
 from . import boundvalue
 from .boundvalue import BoundValue, bv_min
 from .caps import Caps, DEFAULT_CAPS
-from .enumeration import embedding_dim
 from .extnat import INF, ExtNat
+
+# E(n) is imported where it is called, so the closed GL forms (cnbound,
+# minkowski) load without the enumeration, its lattices and root systems
 
 BV_ONE = boundvalue.ONE
 BV_INF = boundvalue.INF
@@ -145,6 +147,7 @@ def semisimple_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
     <= n: the general linear bound at the embedding dimension."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
+    from .enumeration import embedding_dim
     return BoundValue.from_int(gl_jordan_bound(embedding_dim(n, caps)))
 
 
@@ -293,6 +296,7 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
         return make_triple(BoundValue.from_int(gl_jordan_bound(param)),
                            ExtNat(param), ExtNat(minkowski_bound(param)))
     # semisimple leaf: param is the total dimension of the class
+    from .enumeration import embedding_dim
     return make_triple(semisimple_jordan_bound(param, caps),
                        ExtNat(embedding_dim(param, caps)), INF)
 
@@ -392,6 +396,7 @@ def reductive_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Finite abelian subgroups of a connected reductive group of dimension
     <= n need at most n + embedding_dim(n) generators: the central torus
     contributes at most n and the semisimple quotient embeds linearly."""
+    from .enumeration import embedding_dim
     return ExtNat(n + embedding_dim(n, caps))
 
 
@@ -408,6 +413,7 @@ def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> ExtN
     dimension <= n and anti-affine part of dimension <= m, finite abelian
     subgroups of the quotient need at most 2m + n + embedding_dim(n)
     generators."""
+    from .enumeration import embedding_dim
     return ExtNat(2 * m + n + embedding_dim(n, caps))
 
 

@@ -7,7 +7,6 @@ silently wrong answer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 
@@ -57,6 +56,8 @@ class CapExceeded(Exception):
 
 def load_caps(path: str) -> Caps:
     """Read cap overrides from a JSON file; unknown keys are rejected."""
+    import json  # deferred: most commands read no caps file
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -9,14 +9,10 @@ breach.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional
 
-from . import calculus, dsl, enumeration, permgroups
-from .boundvalue import decimal
+# each verb imports the modules it runs, so a cold process compiles only those
 from .caps import Caps, CapExceeded, DEFAULT_CAPS, load_caps
-from .rootsystems import admissible_types, catalog_entry
 
 
 def _global_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
@@ -94,15 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
         for line in text_lines:
             print(line)
 
 
-def _trace_lines(trace) -> List[str]:
+def _trace_lines(trace) -> list[str]:
     out = ["trace:"]
     for i, step in enumerate(trace.steps, start=1):
         out.append(f"  [{i}] {step.rule}: {step.statement}")
@@ -114,6 +111,7 @@ def _trace_lines(trace) -> List[str]:
 def _run(args, caps: Caps) -> int:
     digits = caps.decimal_digits
     if args.verb == "catalog":
+        from .rootsystems import admissible_types, catalog_entry
         rows = []
         for t in admissible_types(args.max_rank):
             entry = catalog_entry(t)
@@ -126,67 +124,21 @@ def _run(args, caps: Caps) -> int:
         return 0
 
     if args.verb == "enumerate":
-        rows = enumeration.class_table(args.dim, caps)
+        from .enumeration import class_table
+        rows = class_table(args.dim, caps)
         text = [f"{r['name']:<24} dim={r['dim']:<4} center={'x'.join('Z' + d for d in r['center']) or '1':<10} "
                 f"min_faithful={r['min_faithful_dim']}" for r in rows]
         _emit(args, {"command": "enumerate", "dim": args.dim, "classes": rows}, text)
         return 0
 
     if args.verb == "nfun":
-        value = enumeration.embedding_dim(args.dim, caps)
+        from .enumeration import embedding_dim
+        value = embedding_dim(args.dim, caps)
         _emit(args, {"command": "nfun", "dim": args.dim, "value": str(value)}, [str(value)])
         return 0
 
-    if args.verb == "cnbound":
-        value = decimal(calculus.gl_jordan_bound(args.n))
-        _emit(args, {"command": "cnbound", "n": args.n, "value": value}, [value])
-        return 0
-
-    if args.verb == "minkowski":
-        value = decimal(calculus.minkowski_bound(args.n))
-        _emit(args, {"command": "minkowski", "n": args.n, "value": value}, [value])
-        return 0
-
-    if args.verb == "sbound":
-        value = calculus.semisimple_jordan_bound(args.dim, caps)
-        payload = {"command": "sbound", "dim": args.dim}
-        if args.json:  # its certified log10 costs the mpmath import
-            payload["value"] = value.to_json(digits)
-        _emit(args, payload, [value.render(digits)])
-        return 0
-
-    if args.verb == "bound":
-        if args.what == "dsl":
-            if args.expr is not None:
-                expr = dsl.parse(args.expr)
-            else:
-                with open(args.file, "r", encoding="utf-8") as fh:
-                    expr = dsl.parse_file_text(fh.read())
-            triple, trace = dsl.evaluate(expr, caps)
-            payload = {"command": "bound dsl", "expr": dsl.print_expr(expr),
-                       "j": triple.j.to_json(digits), "rkf": str(triple.rkf),
-                       "bd": str(triple.bd)}
-            text = [f"expr: {dsl.print_expr(expr)}",
-                    f"J <= {triple.j.render(digits)}",
-                    f"Rk_f <= {triple.rkf}",
-                    f"Bd <= {triple.bd}"]
-        else:
-            # a connected subgroup of Bir(X) acts biregularly on a projective
-            # model of the same dimension, so bir shares the aut0 bound
-            fn = {"connected": calculus.connected_triple,
-                  "aut0": calculus.aut0_triple,
-                  "bir": calculus.aut0_triple}[args.what]
-            triple, trace = fn(args.dim, caps)
-            payload = {"command": f"bound {args.what}", "dim": args.dim,
-                       "j": triple.j.to_json(digits), "rkf": str(triple.rkf)}
-            text = [f"J <= {triple.j.render(digits)}", f"Rk_f <= {triple.rkf}"]
-        if args.trace:
-            payload["trace"] = trace.to_json()
-            text.extend(_trace_lines(trace))
-        _emit(args, payload, text)
-        return 0
-
     if args.verb == "finite":
+        from . import permgroups
         group = permgroups.load_group(args.file, caps)
         base = {"command": f"finite {args.what}", "file": args.file,
                 "degree": group.degree, "order": str(group.order)}
@@ -209,10 +161,65 @@ def _run(args, caps: Caps) -> int:
         _emit(args, {**base, **report.to_json(digits)}, report.lines(digits))
         return 0
 
+    # the remaining verbs evaluate the bound calculus
+    from . import calculus
+    from .boundvalue import decimal
+    if args.verb == "cnbound":
+        value = decimal(calculus.gl_jordan_bound(args.n))
+        _emit(args, {"command": "cnbound", "n": args.n, "value": value}, [value])
+        return 0
+
+    if args.verb == "minkowski":
+        value = decimal(calculus.minkowski_bound(args.n))
+        _emit(args, {"command": "minkowski", "n": args.n, "value": value}, [value])
+        return 0
+
+    if args.verb == "sbound":
+        value = calculus.semisimple_jordan_bound(args.dim, caps)
+        payload = {"command": "sbound", "dim": args.dim}
+        if args.json:  # its certified log10 costs the mpmath import
+            payload["value"] = value.to_json(digits)
+        _emit(args, payload, [value.render(digits)])
+        return 0
+
+    if args.verb == "bound":
+        if args.what == "dsl":
+            from . import dsl
+            if args.expr is not None:
+                expr = dsl.parse(args.expr)
+            else:
+                with open(args.file, "r", encoding="utf-8") as fh:
+                    expr = dsl.parse_file_text(fh.read())
+            triple, trace = dsl.evaluate(expr, caps)
+            payload = {"command": "bound dsl", "expr": dsl.print_expr(expr)}
+            text = [f"expr: {dsl.print_expr(expr)}",
+                    f"J <= {triple.j.render(digits)}",
+                    f"Rk_f <= {triple.rkf}",
+                    f"Bd <= {triple.bd}"]
+        else:
+            # a connected subgroup of Bir(X) acts biregularly on a projective
+            # model of the same dimension, so bir shares the aut0 bound
+            fn = {"connected": calculus.connected_triple,
+                  "aut0": calculus.aut0_triple,
+                  "bir": calculus.aut0_triple}[args.what]
+            triple, trace = fn(args.dim, caps)
+            payload = {"command": f"bound {args.what}", "dim": args.dim}
+            text = [f"J <= {triple.j.render(digits)}", f"Rk_f <= {triple.rkf}"]
+        if args.json:  # the certified log10 of j costs the mpmath import
+            payload.update(j=triple.j.to_json(digits), rkf=str(triple.rkf))
+            if args.what == "dsl":
+                payload["bd"] = str(triple.bd)
+            if args.trace:
+                payload["trace"] = trace.to_json()
+        elif args.trace:
+            text.extend(_trace_lines(trace))
+        _emit(args, payload, text)
+        return 0
+
     raise AssertionError(f"unhandled verb {args.verb}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -169,9 +170,13 @@ class _GroupTable:
         elements = sorted(elements)
         self.index = {e: i for i, e in enumerate(elements)}
         self.commute = [1 << i for i in range(len(elements))]
+        # getters[i](b) is b o a for a = elements[i]; on degree 1 it is the
+        # scalar b[a[0]] on both sides of the comparison
+        getters = [operator.itemgetter(*a) for a in elements]
         for i, a in enumerate(elements):
-            for j, b in enumerate(elements[:i]):
-                if _compose(a, b) == _compose(b, a):
+            after_a = getters[i]
+            for j in range(i):
+                if after_a(elements[j]) == getters[j](a):
                     self.commute[i] |= 1 << j
                     self.commute[j] |= 1 << i
         self.abelian_memo: Dict[int, int] = {}

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -407,14 +408,78 @@ def test_repeat_runs_bit_identical():
     assert a.stdout == b.stdout
 
 
-def test_small_text_sbound_does_not_import_mpmath():
+# each cold verb imports only the modules it runs: (argv, modules it must not load)
+_NOT_CALCULUS = ("jordanbounds.calculus", "jordanbounds.boundvalue", "jordanbounds.dsl",
+                 "jordanbounds.permgroups", "mpmath")
+_NOT_ENUMERATION = ("jordanbounds.enumeration", "jordanbounds.abelian",
+                    "jordanbounds.rootsystems", "jordanbounds.dsl", "jordanbounds.permgroups",
+                    "mpmath")
+COLD_CASES = [
+    (["catalog"], _NOT_CALCULUS),
+    (["nfun", "--dim", "12"], _NOT_CALCULUS),
+    (["enumerate", "--json", "--dim", "12"], _NOT_CALCULUS),
+    (["cnbound", "--n", "64"], _NOT_ENUMERATION),
+    (["minkowski", "--n", "64"], _NOT_ENUMERATION),
+    (["sbound", "--dim", "12"], ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["bound", "dsl", "--expr", "semisimple([A1,A1,A1,A1,A1],sc)"],
+     ("jordanbounds.permgroups", "mpmath")),
+]
+
+
+@pytest.mark.parametrize("argv, absent", COLD_CASES,
+                         ids=[" ".join(argv) for argv, _ in COLD_CASES])
+def test_cold_verb_imports_only_its_modules(capsys, argv, absent):
     code = ("import runpy, sys\n"
-            "sys.argv = ['jordanbounds', 'sbound', '--dim', '12']\n"
+            f"sys.argv = ['jordanbounds', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('jordanbounds', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
-            "print('mpmath' in sys.modules)\n")
+            f"print([m for m in {absent!r} if m in sys.modules])\n")
     out = _run_fresh([sys.executable, "-c", code])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.decode().splitlines() == [str(gl_jordan_bound(16)), "False"]
+    *lines, loaded = out.stdout.decode().splitlines()
+    assert loaded == "[]"
+    assert run_cli(capsys, *argv) == (0, "".join(line + "\n" for line in lines), "")
+
+
+# the names the package exported eagerly, by defining submodule
+EXPORTS = {
+    "abelian": "CenterSubgroup FiniteAbelianGroup",
+    "boundvalue": "BoundValue",
+    "calculus": "BoundTriple DerivationTrace aut0_jordan_bound aut0_rank_bound aut0_triple "
+                "combine_extension combine_product connected_jordan_bound "
+                "connected_rank_bound connected_triple gl_jordan_bound leaf_triple "
+                "make_triple minkowski_bound rank_bound_mod_commutator "
+                "reductive_jordan_bound reductive_rank_bound semisimple_jordan_bound",
+    "caps": "Caps CapExceeded DEFAULT_CAPS load_caps",
+    "dsl": "GroupExpr ParseError evaluate parse parse_file_text print_expr",
+    "enumeration": "IsogenyClass SemisimpleType class_table embedding_dim "
+                   "enumerate_central_subgroups enumerate_semisimple isogeny_classes "
+                   "max_center_order min_faithful_dim quotient_center",
+    "extnat": "INF ExtNat",
+    "permgroups": "PermGroup Permutation abelian_invariants abelian_rank closure "
+                  "direct_product jordan_constant jordan_index load_group "
+                  "max_abelian_order verify_bound",
+    "rootsystems": "CatalogEntry CentralCharacter DominantWeight RootSystem SimpleType "
+                   "admissible_types build_root_system catalog_entry central_character "
+                   "irrep_kernel_on_center weyl_dim",
+}
+
+
+def test_package_exports_resolve_lazily():
+    names = 0
+    for module, exported in EXPORTS.items():
+        sub = importlib.import_module(f"jordanbounds.{module}")
+        for name in exported.split():
+            assert getattr(jordanbounds, name) is getattr(sub, name), name
+            names += 1
+    assert names == len(jordanbounds.__all__) == 65
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jordanbounds.no_such_name
+    assert jordanbounds.__version__ == "0.1.0"
+    out = _run_fresh([sys.executable, "-c",
+                      "import sys, jordanbounds\n"
+                      "print([m for m in sys.modules if m.startswith('jordanbounds.')])"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode() == "[]\n"
