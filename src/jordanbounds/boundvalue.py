@@ -34,11 +34,13 @@ def decimal(value: int) -> str:
     The interpreter limits int -> str conversions; printing big bounds in
     decimal is a designed feature, so a non-zero limit is raised as far as
     this value needs.  A limit of 0 already means no limit.  Values past
-    _DECIMAL_SPLIT_BITS go through _decimal_by_halves, which the limit does
+    _DECIMAL_SPLIT_BITS go through _decimal_product, which the limit does
     not cover.
     """
     if value.bit_length() > _DECIMAL_SPLIT_BITS:
-        return _decimal_by_halves(value)
+        if value < 0:
+            return "-" + decimal(-value)
+        return str(_decimal_product([(value, 1)]))
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is not None:  # Python 3.10 releases before the limit have none
         limit = get_limit()
@@ -50,14 +52,14 @@ def decimal(value: int) -> str:
     return str(value)
 
 
-def _decimal_by_halves(value: int) -> str:
-    """Decimal string by splitting value = lo + hi * 2^w and combining the
-    halves as exact libmpdec Decimals, whose products are subquadratic.
-    Every operation runs under the Inexact trap, so a rounding raises."""
+def _decimal_product(factors: Iterable[Tuple[int, int]]):
+    """prod(base ** exp) over positive integer bases as an exact libmpdec
+    Decimal, whose products and powers are subquadratic.  A base past
+    _DECIMAL_SPLIT_BITS is converted by splitting it as lo + hi * 2^w and
+    combining the halves.  Every operation runs under the Inexact trap, so
+    a rounding raises."""
     import decimal as mpd  # deferred: only values past the split need it
 
-    if value < 0:
-        return "-" + _decimal_by_halves(-value)
     powers = {}
 
     def two_to(w):
@@ -82,7 +84,12 @@ def _decimal_by_halves(value: int) -> str:
         ctx.Emax = mpd.MAX_EMAX
         ctx.Emin = mpd.MIN_EMIN
         ctx.traps[mpd.Inexact] = True
-        return str(convert(value, value.bit_length()))
+        out = mpd.Decimal(1)
+        for base, exp in factors:
+            bits = base.bit_length()
+            d = convert(base, bits) if bits > _DECIMAL_SPLIT_BITS else mpd.Decimal(base)
+            out *= d ** exp
+        return out
 
 
 def _coprime_basis(nums: Iterable[int]) -> List[int]:
@@ -207,25 +214,52 @@ class BoundValue:
         lo, hi = self.log10_interval()
         return (int(math.floor(lo)) + 1, int(math.floor(hi)) + 1)
 
+    def _past_cap(self, max_digits: int, bits: int) -> Optional[bool]:
+        """False when a value of at most `bits` bits surely has at most
+        max_digits digits, None when it surely has more, True when only the
+        expansion can tell."""
+        # log10(2) < 1/3, so bits // 3 + 1 bounds the digit count from above
+        # and decides most values without the certified logarithm
+        if bits // 3 + 1 <= max_digits:
+            return False
+        lo, hi = self.digits10_interval()
+        if lo > max_digits:
+            return None
+        return hi > max_digits
+
+    def _bits(self) -> int:
+        """An upper bound on the bit length of a finite value."""
+        return sum(e * b.bit_length() for b, e in self._factors)
+
     def to_int(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> Optional[int]:
         """Expand to a plain integer, or None when past the digit cap."""
         if self._infinite:
             return None
-        # log10(2) < 1/3, so bits // 3 + 1 bounds the digit count from above
-        # and decides most values without the certified logarithm
-        bits = sum(e * b.bit_length() for b, e in self._factors)
-        straddles = False
-        if bits // 3 + 1 > max_digits:
-            lo, hi = self.digits10_interval()
-            if lo > max_digits:
-                return None
-            straddles = hi > max_digits
+        straddles = self._past_cap(max_digits, self._bits())
+        if straddles is None:
+            return None
         out = 1
         for base, exp in self._factors:
             out *= base ** exp
         if straddles and out >= 10 ** max_digits:
             return None
         return out
+
+    def _decimal(self, max_digits: int) -> Optional[str]:
+        """Exact decimal string of a finite value, or None past the digit
+        cap; values past _DECIMAL_SPLIT_BITS expand as libmpdec powers of
+        their factors, never as one int."""
+        bits = self._bits()
+        if bits <= _DECIMAL_SPLIT_BITS:
+            value = self.to_int(max_digits)
+            return None if value is None else decimal(value)
+        straddles = self._past_cap(max_digits, bits)
+        if straddles is None:
+            return None
+        out = _decimal_product(self._factors)
+        if straddles and out.adjusted() + 1 > max_digits:
+            return None
+        return str(out)
 
     # -- certified log10 ---------------------------------------------------
 
@@ -330,9 +364,9 @@ class BoundValue:
         """Decimal if it fits the digit cap, else the symbolic product."""
         if self._infinite:
             return "inf"
-        value = self.to_int(max_digits)
-        if value is not None:
-            return decimal(value)
+        text = self._decimal(max_digits)
+        if text is not None:
+            return text
         sym = " * ".join(f"{decimal(b)}^{decimal(e)}" if e != 1 else decimal(b)
                          for b, e in self._factors)
         lo, hi = self.log10_interval()
@@ -349,15 +383,12 @@ class BoundValue:
     def to_json(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> dict:
         if self._infinite:
             return {"infinite": True, "factors": None, "log10": None, "decimal": None}
-        value = self.to_int(max_digits)
+        text = self._decimal(max_digits)
         lo, hi = self.log10_interval()
-        factors = [[decimal(b), decimal(e)] for b, e in self._factors]
-        if value is None:
-            text = None
-        elif len(self._factors) == 1 and self._factors[0][1] == 1:
-            text = factors[0][0]  # the value is its one base, already rendered
+        if text is not None and len(self._factors) == 1 and self._factors[0][1] == 1:
+            factors = [[text, "1"]]  # the value is its one base, already rendered
         else:
-            text = decimal(value)
+            factors = [[decimal(b), decimal(e)] for b, e in self._factors]
         return {"infinite": False, "factors": factors, "log10": [lo, hi], "decimal": text}
 
 

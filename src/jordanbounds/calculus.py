@@ -21,15 +21,27 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import boundvalue
 from .boundvalue import BoundValue, bv_min
 from .caps import Caps, DEFAULT_CAPS
 from .extnat import INF, ExtNat
 
-# E(n) is imported where it is called, so the closed GL forms (cnbound,
-# minkowski) load without the enumeration, its lattices and root systems
+# E(n) is imported on first use, so the closed GL forms (cnbound, minkowski)
+# load without the enumeration, its lattices and root systems
+_enumeration = None
+
+
+def _embedding_dim(n: int, caps: Caps) -> int:
+    """E(n), read from the enumeration module at call time, so that a rebinding
+    of enumeration.embedding_dim reaches every caller."""
+    global _enumeration
+    if _enumeration is None:
+        from . import enumeration
+        _enumeration = enumeration
+    return _enumeration.embedding_dim(n, caps)
+
 
 BV_ONE = boundvalue.ONE
 BV_INF = boundvalue.INF
@@ -38,36 +50,49 @@ BV_INF = boundvalue.INF
 # --- closed-form constants -------------------------------------------------
 
 
-def _inverse_sqrt(r: int, p: int) -> int:
-    """An integer within 2 of 2^p / sqrt(r), for 1 <= r < 2^1000, from
-    multiplications and shifts only.
+def _newton_inverse_sqrt(r: int, p: int) -> Tuple[int, Optional[int]]:
+    """(y, err) with 0 <= 2^p / sqrt(r) - y < err, for 1 <= r < 2^1000, from
+    multiplications and shifts only; err is None when no Newton step ran.
 
     Newton's iteration y <- y + y*(2^2q - r*y^2) / 2^(2q+1) refines
     y ~ 2^q / sqrt(r) from a float start, nearly doubling its good bits per
-    step (Brent & Zimmermann, Modern Computer Arithmetic, 2010).
+    step.  The precisions are planned downwards from p, so that the last
+    step starts near p/2 (Brent & Zimmermann, Modern Computer Arithmetic,
+    2010, sections 1.5 and 3.5).
     """
     half = (r.bit_length() + 1) // 2  # y has at most q - half good bits
-    q = min(50 + half, p)
+    # a step from q to nxt keeps every bit good when nxt <= 2q - half - 33:
+    # squaring the error doubles the good bits, not q
+    plan = []
+    q = p
+    while q > 50 + half:
+        plan.append(q)
+        q = (q + half + 34) // 2
     y = int(math.ldexp(1.0 / math.sqrt(r), q))
-    while q < p:
-        # squaring the error doubles the good bits, not q: plain doubling
-        # would fall a further `half` bits short on every step
-        nxt = min(2 * q - half - 32, p)
+    for nxt in reversed(plan):
         e = (1 << 2 * q) - r * y * y
+        y_q, q_q = y, q
         y = (y << (nxt - q)) + ((y * e) >> (3 * q + 1 - nxt))
         q = nxt
-    return y
+    if not plan or abs(e).bit_length() >= 2 * q_q:
+        return y, None
+    # with delta = e / 2^(2q) the truth is y_q 2^(p-q) (1 - delta)^(-1/2) and
+    # the last step kept y_q 2^(p-q) (1 + delta/2) rounded down; for
+    # |delta| < 1/2, (1 - delta)^(-1/2) - 1 - delta/2 lies in [0, delta^2], so
+    # 0 <= truth - y < y_q 2^(p-q) delta^2 + 1 < 2^s + 1
+    s = y_q.bit_length() + p - q_q + 2 * abs(e).bit_length() - 4 * q_q
+    return y, (1 << max(s, 0)) + 1
 
 
-def _floor_mul_sqrt(b: int, r: int) -> int:
-    """floor(b * sqrt(r)) for integers b >= 0 and 1 <= r < 2^1000, with no
-    division: root = b*r*y / 2^p for y ~ 2^p / sqrt(r), then stepped until
-    root^2 <= b^2*r < (root+1)^2, so it is exact whatever y's error."""
-    if b == 0:
-        return 0
-    p = b.bit_length() + r.bit_length() + 32
-    root = (b * r * _inverse_sqrt(r, p)) >> p
-    d = b * b * r - root * root
+def _inverse_sqrt(r: int, p: int) -> int:
+    """An integer within 2 of 2^p / sqrt(r), for 1 <= r < 2^1000."""
+    return _newton_inverse_sqrt(r, p)[0]
+
+
+def _settle_root(n: int, root: int) -> int:
+    """isqrt(n) for n >= 0, stepped from a guess root >= 0 until
+    root^2 <= n < (root+1)^2; one step per unit of the guess's error."""
+    d = n - root * root
     while d < 0:
         root -= 1
         d += 2 * root + 1
@@ -75,6 +100,23 @@ def _floor_mul_sqrt(b: int, r: int) -> int:
         d -= 2 * root + 1
         root += 1
     return root
+
+
+def _floor_mul_sqrt(b: int, r: int) -> int:
+    """floor(b * sqrt(r)) for integers b >= 0 and 1 <= r < 2^1000, with no
+    division: b*sqrt(r) lies in [t, t + b*r*err) / 2^p for t = b*r*y and
+    0 <= 2^p / sqrt(r) - y < err, so t >> p is the floor when
+    (t mod 2^p) + b*r*err <= 2^p.  Otherwise (b*sqrt(r) within about 2^-31
+    of an integer, or no error bound) the root is stepped exactly."""
+    if b == 0:
+        return 0
+    p = b.bit_length() + r.bit_length() + 32
+    y, err = _newton_inverse_sqrt(r, p)
+    t = b * r * y
+    root = t >> p
+    if err is not None and t - (root << p) + b * r * err <= 1 << p:
+        return root
+    return _settle_root(b * b * r, root)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,23 +133,17 @@ def gl_jordan_bound(n: int) -> int:
     if n == 0:
         return 1  # the trivial group
     radicand = 8 * n
-
-    def mul(x, y):
-        a, b = x
-        c, d = y
-        return (a * c + b * d * radicand, a * d + b * c)
-
-    acc = (1, 0)
-    base = (1, 1)
-    e = 2 * n * n
-    while True:
-        if e & 1:
-            acc = mul(acc, base)
-        e >>= 1
-        if not e:  # the next square would go unused
-            break
-        base = mul(base, base)
-    a, b = acc
+    # left to right: square, then maybe multiply by 1 + sqrt(8n), which
+    # costs two additions; a square (a + b sqrt r)^2 is
+    # a^2 + r b^2 + ((a + b)^2 - a^2 - b^2) sqrt r, three squarings
+    a, b = 1, 1
+    for bit in bin(2 * n * n)[3:]:
+        a2 = a * a
+        b2 = b * b
+        s = a + b
+        a, b = a2 + radicand * b2, s * s - a2 - b2
+        if bit == "1":
+            a, b = a + radicand * b, a + b
     sqrt_r = math.isqrt(radicand)
     if sqrt_r * sqrt_r == radicand:  # b > 0, so b^2*8n is a square iff 8n is
         return a + b * sqrt_r - 1
@@ -147,8 +183,7 @@ def semisimple_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
     <= n: the general linear bound at the embedding dimension."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    from .enumeration import embedding_dim
-    return BoundValue.from_int(gl_jordan_bound(embedding_dim(n, caps)))
+    return BoundValue.from_int(gl_jordan_bound(_embedding_dim(n, caps)))
 
 
 # --- bound triples ----------------------------------------------------------
@@ -293,12 +328,15 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
     if kind == "gl_rational":
         if param < 1:
             raise ValueError("rational general linear leaf needs dimension >= 1")
-        return make_triple(BoundValue.from_int(gl_jordan_bound(param)),
-                           ExtNat(param), ExtNat(minkowski_bound(param)))
+        bd = minkowski_bound(param)
+        # sqrt(8n) + 1 >= 2^k, so the GL bound is at least 2^(2n^2 k) - 1 and
+        # the clamp to bd keeps bd whenever bd has no more bits than that
+        k = (math.isqrt(8 * param) + 1).bit_length() - 1
+        j = bd if bd.bit_length() <= 2 * param * param * k else gl_jordan_bound(param)
+        return make_triple(BoundValue.from_int(j), ExtNat(param), ExtNat(bd))
     # semisimple leaf: param is the total dimension of the class
-    from .enumeration import embedding_dim
     return make_triple(semisimple_jordan_bound(param, caps),
-                       ExtNat(embedding_dim(param, caps)), INF)
+                       ExtNat(_embedding_dim(param, caps)), INF)
 
 
 def leaf_with_trace(kind: str, param: int, caps: Caps = DEFAULT_CAPS
@@ -396,8 +434,7 @@ def reductive_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
     """Finite abelian subgroups of a connected reductive group of dimension
     <= n need at most n + embedding_dim(n) generators: the central torus
     contributes at most n and the semisimple quotient embeds linearly."""
-    from .enumeration import embedding_dim
-    return ExtNat(n + embedding_dim(n, caps))
+    return ExtNat(n + _embedding_dim(n, caps))
 
 
 def reductive_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
@@ -413,8 +450,7 @@ def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> ExtN
     dimension <= n and anti-affine part of dimension <= m, finite abelian
     subgroups of the quotient need at most 2m + n + embedding_dim(n)
     generators."""
-    from .enumeration import embedding_dim
-    return ExtNat(2 * m + n + embedding_dim(n, caps))
+    return ExtNat(2 * m + n + _embedding_dim(n, caps))
 
 
 def central_commutator_order(n: int) -> BoundValue:

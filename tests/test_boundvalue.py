@@ -284,3 +284,52 @@ def test_render_of_a_value_past_the_split_leaves_the_str_digit_limit(int_str_lim
     assert bound.render() == want
     assert BoundValue.from_int(value).to_json()["decimal"] == want
     assert sys.get_int_max_str_digits() == 4300
+
+
+def _renders_like_to_int(value, max_digits):
+    """render() and to_json()["decimal"] agree with to_int() at this cap;
+    True when the value expands."""
+    exact = value.to_int(max_digits)
+    text = value.to_json(max_digits)["decimal"]
+    shown = value.render(max_digits)
+    if exact is None:
+        assert text is None and shown.endswith("])")
+        return False
+    sys.set_int_max_str_digits(0)
+    assert text == shown == str(exact)
+    return True
+
+
+SPLIT_CASES = [
+    BoundValue([(2, 300), (3, 100), (7, 2)]),
+    BoundValue([(3, 12_000), (7, 5_000)]),  # 39,000 bits: below the split
+    BoundValue([(3, 13_000), (7, 5_000)]),  # 41,000 bits: past it
+    BoundValue([(3, 20_000), (7, 5_000), (11, 3)]),
+    BoundValue([(7 ** 15_000, 2)]),  # a 42,117-bit base, squared
+    BoundValue([(7 ** 15_000, 2), (3, 5)]),
+    BoundValue.from_int(7 ** 15_000),
+]
+
+
+@pytest.mark.parametrize("value", SPLIT_CASES)
+def test_render_and_json_expand_exactly_on_both_sides_of_the_split(int_str_limit, value):
+    sys.set_int_max_str_digits(0)
+    digits = len(str(value.to_int()))
+    assert _renders_like_to_int(value, 1_000_000)
+    # digit counts exactly at the cap and one past it
+    assert _renders_like_to_int(value, digits)
+    assert not _renders_like_to_int(value, digits - 1)
+
+
+def test_a_straddling_digit_cap_is_decided_exactly_past_the_split(int_str_limit):
+    k = 13_000  # 10^k has 43,186 bits
+    below = BoundValue.from_int(10 ** k - 1)  # k digits
+    power = BoundValue([(2, k), (5, k)])  # 10^k: k + 1 digits
+    for value in (below, power):
+        # at a cap of k digits the certified logarithm cannot tell: only the
+        # expansion decides
+        assert value._past_cap(k, value._bits()) is True
+    assert _renders_like_to_int(below, k)
+    assert not _renders_like_to_int(power, k)
+    assert _renders_like_to_int(power, k + 1)
+    assert not _renders_like_to_int(below, k - 1)

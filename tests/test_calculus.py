@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -76,13 +77,92 @@ def test_inverse_sqrt_is_within_two_of_the_truth(r):
         assert (y < 2 or r * (y - 2) ** 2 < 4 ** p) and 4 ** p < r * (y + 2) ** 2, p
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 1000, 2047, 4999])
+def test_inverse_sqrt_error_bound_holds(r):
+    rng = random.Random(r)
+    for p in [rng.randrange(1, 4000) for _ in range(60)]:
+        y, err = calc._newton_inverse_sqrt(r, p)
+        if err is None:  # no Newton step: only for p at the float's precision
+            assert p <= 50 + (r.bit_length() + 1) // 2
+            continue
+        # 0 <= 2^p / sqrt(r) - y < err, squared
+        assert r * y * y <= 4 ** p < r * (y + err) ** 2, p
+
+
+def _pell(r, x, y, above):
+    """A solution of x^2 - r*y^2 = 1 with x past `above`, from a
+    fundamental one by powers of x + y*sqrt(r)."""
+    x1, y1 = x, y
+    while x <= above:
+        x, y = x * x1 + r * y * y1, x * y1 + y * x1
+    return x, y
+
+
+@pytest.fixture
+def settle_spy(monkeypatch):
+    calls = []
+    settle = calc._settle_root
+
+    def spy(n, root):
+        calls.append(n)
+        return settle(n, root)
+
+    monkeypatch.setattr(calc, "_settle_root", spy)
+    return calls
+
+
+@pytest.mark.parametrize("r,x,y", [(2, 3, 2), (3, 2, 1), (5, 9, 4), (8, 3, 1), (1000, 39480499, 1248483)])
+def test_floor_mul_sqrt_steps_exactly_next_to_an_integer(settle_spy, r, x, y):
+    # x^2 - r*y^2 = 1, so y*sqrt(r) lies within 1/(2x) < 2^-40 below x
+    x, y = _pell(r, x, y, 2 ** 40)
+    assert x * x - r * y * y == 1
+    assert calc._floor_mul_sqrt(y, r) == x - 1
+    assert settle_spy
+
+
+@pytest.mark.parametrize("r", [9, 25, 49, 121, 2025])
+def test_floor_mul_sqrt_steps_exactly_on_perfect_squares(settle_spy, r):
+    b = 3 ** 300 + 7
+    assert calc._floor_mul_sqrt(b, r) == b * math.isqrt(r)
+    assert settle_spy
+
+
+@pytest.mark.parametrize("n", [64, 128, 190, 192, 256])
+def test_gl_jordan_bound_certifies_its_floor_without_stepping(settle_spy, n):
+    gl_jordan_bound.cache_clear()
+    assert reference_gl_floor(n, gl_jordan_bound(n))
+    assert not settle_spy
+
+
 def test_gl_jordan_bound_is_computed_once_per_n():
     gl_jordan_bound.cache_clear()
     triple, trace = dsl.evaluate(dsl.parse("product(gl(40), gl_q(40))"))
     replayed = trace.replay()
     assert replayed.j == triple.j
     info = gl_jordan_bound.cache_info()
-    assert info.misses == 1 and info.hits >= 3
+    # gl(40) is computed once and read back once by the replay; gl_q(40)
+    # takes Minkowski's bound without the GL bound
+    assert info.misses == 1 and info.hits == 1
+
+
+def test_minkowski_clamp_certificate_holds():
+    # sqrt(8n) + 1 >= 2^k, so the GL bound is at least 2^(2n^2 k) - 1
+    for n in range(1, 2001):
+        k = (math.isqrt(8 * n) + 1).bit_length() - 1
+        assert minkowski_bound(n).bit_length() <= 2 * n * n * k, n
+
+
+def test_gl_rational_leaf_equals_the_exact_clamp():
+    for n in list(range(1, 65)) + [190]:
+        assert leaf_triple("gl_rational", n) == make_triple(
+            bv(gl_jordan_bound(n)), ExtNat(n), ExtNat(minkowski_bound(n))), n
+
+
+def test_gl_rational_leaf_does_not_compute_the_gl_bound():
+    gl_jordan_bound.cache_clear()
+    triple, trace = dsl.evaluate(dsl.parse("gl_q(190)"))
+    assert triple.j == bv(minkowski_bound(190))
+    assert gl_jordan_bound.cache_info().misses == 0
 
 
 def test_minkowski_values():

@@ -180,7 +180,8 @@ def test_big_cnbound_and_minkowski_print_exact_values(capsys, int_str_limit):
 
 
 # sha256 of stdout, recorded before the GL floor and the large decimals
-# were computed without quadratic steps; the bytes must not move
+# were computed without quadratic steps (the connected(5) lines before large
+# values were expanded as libmpdec powers); the bytes must not move
 PINNED_STDOUT_SHA256 = [
     (["cnbound", "--n", "200"],
      "8bc334b52da695fb5e33443544ff4d6f3b90346cddc1eb4097cb8e6d3ea95c3c"),
@@ -188,6 +189,10 @@ PINNED_STDOUT_SHA256 = [
      "95a3ab65f451557209c9554a0309000afeeb2702602769c6179484aac7e4b7b5"),
     (["--json", "bound", "dsl", "--expr", "product(connected(5), torus(3))"],
      "8da8b32654821af0ddb5e1c72d37eeaf9766d9994a8d8f159fed3e4009f2c642"),
+    (["bound", "connected", "--dim", "5"],
+     "c1a77423f4f969f968a312fef8012e1483e402f9b910d335e2f7b1ddde862a94"),
+    (["--json", "bound", "connected", "--dim", "5"],
+     "afadc2a91055d1641583b51a90c4d17b45c47e56aa201818e750e09d15070e4e"),
 ]
 
 
