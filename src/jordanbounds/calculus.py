@@ -84,11 +84,6 @@ def _newton_inverse_sqrt(r: int, p: int) -> Tuple[int, Optional[int]]:
     return y, (1 << max(s, 0)) + 1
 
 
-def _inverse_sqrt(r: int, p: int) -> int:
-    """An integer within 2 of 2^p / sqrt(r), for 1 <= r < 2^1000."""
-    return _newton_inverse_sqrt(r, p)[0]
-
-
 def _settle_root(n: int, root: int) -> int:
     """isqrt(n) for n >= 0, stepped from a guess root >= 0 until
     root^2 <= n < (root+1)^2; one step per unit of the guess's error."""

@@ -17,8 +17,6 @@ class Caps:
     enumeration_dim      largest total dimension for semisimple enumeration
     center_order         largest center order whose subgroups are enumerated
     subgroup_count       abort subgroup enumeration past this many subgroups
-    search_dim           largest total dimension of a faithful representation
-                         searched per simply connected form, in one pass
     closure_order        permutation-group closure limit
     decimal_digits       largest decimal expansion of a symbolic bound
     """
@@ -26,7 +24,6 @@ class Caps:
     enumeration_dim: int = 64
     center_order: int = 4096
     subgroup_count: int = 100_000
-    search_dim: int = 512
     closure_order: int = 10_000
     decimal_digits: int = 1_000_000
 

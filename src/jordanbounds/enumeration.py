@@ -183,8 +183,7 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
     factor acts nontrivially in some summand and the joint central kernel
     is the quotient kernel, nothing more.
 
-    One shortest-path pass per form, at caps.search_dim, settles every
-    kernel at once.
+    One shortest-path pass per form settles every kernel at once.
     """
     moduli = cls.base.center_moduli
     kernel_mask = 0
@@ -193,30 +192,27 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
         for x, m in zip(z, moduli):
             code = code * m + x  # position of z in lexicographic order
         kernel_mask |= 1 << code
-    found = _faithful_dims(cls.base, caps.search_dim).get(kernel_mask)
-    if found is None:
-        # no faithful multiset fits the budget, so the value exceeds it
-        raise CapExceeded(f"faithful search dimension for {cls.name()}",
-                          caps.search_dim, observed=caps.search_dim + 1,
-                          module="semisimple-enumeration")
-    return found
+    return _faithful_dims(cls.base, caps)[kernel_mask]
 
 
 @functools.lru_cache(maxsize=None)
-def _faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
-    """Minimal faithful dimension within `budget` (caps.search_dim) of every
-    quotient of one simply connected form, keyed by kernel mask (bit i: the
-    i-th center element in lexicographic order).  A quotient missing from
-    the table needs more than `budget`.
+def _faithful_dims(base: SemisimpleType, caps: Caps) -> Dict[int, int]:
+    """Minimal faithful dimension of every quotient of one simply connected
+    form, keyed by kernel mask (bit i: the i-th center element in
+    lexicographic order).
 
-    Dijkstra over states (factor-coverage mask, joint-kernel mask) from
-    (0, whole center), one summand per edge.  A multiset whose joint
-    kernel is exactly K uses only summands whose zero sets contain K, so
-    the distance to (all factors, K) is the minimal dimension for G/K.
+    The center's subgroups are enumerated first, so the center caps trip
+    before any search work.  Then Dijkstra over the finite set of states
+    (factor-coverage mask, joint-kernel mask) from (0, whole center), one
+    summand per edge.  A multiset whose joint kernel is exactly K uses only
+    summands whose zero sets contain K, so the distance to (all factors, K)
+    is the minimal dimension for G/K.  Every K is reached: the adjoint plus
+    one irreducible per generator of the characters of Z/K is faithful.
     """
+    count = len(abelian.all_subgroups(base.center_moduli, caps))
     full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
     target = (1 << len(base.factors)) - 1
-    pool = _summand_pool(base, budget)
+    pool = _summand_pool(base)
     dist = {(0, full): 0}
     heap = [(0, 0, full)]
     while heap:
@@ -225,17 +221,18 @@ def _faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
             continue
         for sd, scov, szero in pool:
             nd = d + sd
-            if nd > budget:
-                break  # pool sorted by dimension
             state = (cov | scov, ker & szero)
             if nd < dist.get(state, nd + 1):
                 dist[state] = nd
                 heapq.heappush(heap, (nd, *state))
-    return {ker: d for (cov, ker), d in dist.items() if cov == target}
+    table = {ker: d for (cov, ker), d in dist.items() if cov == target}
+    if len(table) != count:
+        raise AssertionError(f"{base}: {len(table)} kernels reached of {count} subgroups")
+    return table
 
 
-def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int]]:
-    """Kernel-independent summand candidates within `budget` for one form.
+def _summand_pool(base: SemisimpleType) -> List[Tuple[int, int, int]]:
+    """Kernel-independent summand candidates for one form.
 
     Each entry is (dimension, factor-coverage mask, zero-set mask), the zero
     set being the subgroup of the center on which the summand's central
@@ -279,10 +276,7 @@ def _summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int, int, int
                 cheapest[k] = dimprod
             return
         for wdim, nz, contrib in per[fi]:
-            ndim = dimprod * wdim
-            if ndim > budget:
-                break  # weights sorted by dimension
-            build(fi + 1, ndim,
+            build(fi + 1, dimprod * wdim,
                   tuple(v + c for v, c in zip(vals, contrib)),
                   cov | (nz << fi))
 
@@ -308,13 +302,8 @@ def embedding_dim(n: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _embedding_dim(n: int, caps: Caps) -> int:
-    best = 0
-    for base in enumerate_semisimple(n, caps):
-        if base.is_trivial:
-            continue
-        for cls in isogeny_classes(base, caps):
-            best = max(best, min_faithful_dim(cls, caps))
-    return best
+    return max(max(_faithful_dims(base, caps).values())
+               for base in enumerate_semisimple(n, caps) if not base.is_trivial)
 
 
 def max_center_order(n: int, caps: Caps = DEFAULT_CAPS) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 import jordanbounds
 from jordanbounds.calculus import gl_jordan_bound, minkowski_bound
+from jordanbounds.caps import Caps
 from jordanbounds.cli import main
 
 from conftest import corpus_path
@@ -376,6 +378,34 @@ def test_caps_override(capsys, tmp_path):
                              "--file", corpus_path("a5.grp"))
     assert code == 1 and out == ""
     assert "unknown cap names" in err and "constant_group_order" in err
+
+
+def test_caps_file_naming_the_retired_search_cap_is_rejected(capsys, tmp_path):
+    # the faithful search runs over a finite state space, so no cap is left on it
+    f = tmp_path / "caps.json"
+    f.write_text(json.dumps({"search_dim": 1024}))
+    code, out, err = run_cli(capsys, "--caps", str(f), "nfun", "--dim", "8")
+    assert code == 1 and out == ""
+    assert err == f"error: unknown cap names in {f}: ['search_dim']\n"
+
+
+def test_exact_search_group_order_limit(capsys, tmp_path):
+    f = tmp_path / "s7.grp"
+    f.write_text("# symmetric group on 7 points\ndegree 7\n(1 2 3 4 5 6 7)\n(1 2)\n")
+    code, out, err = run_cli(capsys, "finite", "index", "--file", str(f))
+    assert code == 3 and out == ""
+    assert ("exact-search group order (limit 4096, reached at least 5040)") in err
+
+
+def test_readme_caps_table_matches_caps_fields():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Resource caps", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`")] = int(cells[1])
+    assert rows == {f.name: f.default for f in dataclasses.fields(Caps)}
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from jordanbounds import enumeration
+from jordanbounds import abelian, enumeration
 from jordanbounds.abelian import FiniteAbelianGroup
 from jordanbounds.caps import Caps, CapExceeded, DEFAULT_CAPS
 from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
@@ -8,7 +10,7 @@ from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
                                       enumerate_semisimple, isogeny_classes,
                                       max_center_order, min_faithful_dim,
                                       quotient_center)
-from jordanbounds.rootsystems import SimpleType
+from jordanbounds.rootsystems import SimpleType, build_root_system
 
 from oracles import exhaustive_min_faithful, reference_min_faithful, reference_summand_pool
 
@@ -106,21 +108,12 @@ def test_min_faithful_examples():
     assert min_faithful_dim(cls_of(["A3"], [(1,)])) == 15
 
 
-def test_min_faithful_search_cap_is_explicit():
-    with pytest.raises(CapExceeded) as err:
-        min_faithful_dim(cls_of(["A2"], [(1,)]), Caps(search_dim=5))
-    assert err.value.what == "faithful search dimension for A2/adj"
-    assert (err.value.limit, err.value.observed) == (5, 6)
-    assert str(err.value) == ("cap exceeded in semisimple-enumeration: faithful search "
-                              "dimension for A2/adj (limit 5, reached at least 6)")
-
-
 def test_min_faithful_agrees_with_per_kernel_search_dim15():
     count = 0
     for base in enumerate_semisimple(15):
         for cls in isogeny_classes(base):
             got = min_faithful_dim(cls)
-            assert got == reference_min_faithful(cls, DEFAULT_CAPS.search_dim), cls.name()
+            assert got == reference_min_faithful(cls, 512), cls.name()
             count += 1
     assert count == 492
 
@@ -146,9 +139,28 @@ def test_summand_pool_matches_all_weights_reference():
     forms = [b for b in enumerate_semisimple(20) if not b.is_trivial]
     assert len(forms) == 24
     for base in forms:
+        pool = enumeration._summand_pool(base)
+        # each entry is the cheapest for its masks overall, so the entries
+        # within a budget are the pool at that budget
         for budget in (2, 3, 5, 8, 16, 32, 64, 128):
-            assert (enumeration._summand_pool(base, budget)
+            assert ([e for e in pool if e[0] <= budget]
                     == reference_summand_pool(base, budget)), (str(base), budget)
+
+
+def test_faithful_table_has_one_key_per_subgroup_within_the_generator_bound():
+    """Every kernel K is reached, within dim G + rank(Z) * prod_i D_i: the
+    adjoint plus one irreducible per generator of the characters of Z/K,
+    D_i being factor i's dearest cheapest irreducible over its nontrivial
+    central characters."""
+    forms = [b for b in enumerate_semisimple(20) if not b.is_trivial]
+    assert len(forms) == 24
+    for base in forms:
+        table = enumeration._faithful_dims(base, DEFAULT_CAPS)
+        assert len(table) == len(abelian.all_subgroups(base.center_moduli)), str(base)
+        dearest = [max((d for _, d, chars in build_root_system(f).cheapest_per_character()
+                        if any(chars)), default=1) for f in base.factors]
+        bound = base.dim + len(base.center.factors) * math.prod(dearest)
+        assert max(table.values()) <= bound, (str(base), bound)
 
 
 def test_min_faithful_agrees_with_exhaustive_oracle_dim10():
