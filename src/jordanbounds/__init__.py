@@ -22,15 +22,13 @@ _SUBMODULE = {name: module for module, names in (
                  "aut0_triple combine_extension combine_product "
                  "connected_jordan_bound connected_rank_bound connected_triple "
                  "gl_jordan_bound leaf_triple make_triple minkowski_bound "
-                 "rank_bound_mod_commutator reductive_jordan_bound "
-                 "reductive_rank_bound semisimple_jordan_bound"),
+                 "rank_bound_mod_commutator semisimple_jordan_bound"),
     ("caps", "Caps CapExceeded DEFAULT_CAPS load_caps"),
     ("dsl", "GroupExpr ParseError evaluate parse parse_file_text print_expr"),
     ("enumeration", "IsogenyClass SemisimpleType class_table embedding_dim "
                     "enumerate_central_subgroups enumerate_semisimple "
                     "isogeny_classes max_center_order min_faithful_dim "
                     "quotient_center"),
-    ("extnat", "INF ExtNat"),
     ("permgroups", "PermGroup Permutation abelian_invariants abelian_rank closure "
                    "direct_product jordan_constant jordan_index load_group "
                    "max_abelian_order verify_bound"),

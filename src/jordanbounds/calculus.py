@@ -6,7 +6,8 @@ Three quantities are tracked per group description G:
          has an abelian subgroup of index at most j;
     rkf  an upper bound on the number of generators needed by any finite
          abelian subgroup;
-    bd   an upper bound on the order of any finite subgroup (often infinite).
+    bd   an upper bound on the order of any finite subgroup, or None when
+         finite subgroups of unbounded order exist.
 
 Leaf constants come from classical facts (Jordan's theorem for the general
 linear group, Minkowski's theorem over the rationals, tori, abelian
@@ -26,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import boundvalue
 from .boundvalue import BoundValue, bv_min
 from .caps import Caps, DEFAULT_CAPS
-from .extnat import INF, ExtNat
 
 # E(n) is imported on first use, so the closed GL forms (cnbound, minkowski)
 # load without the enumeration, its lattices and root systems
@@ -184,41 +184,56 @@ def semisimple_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
 # --- bound triples ----------------------------------------------------------
 
 
+def render_order(bd: Optional[int]) -> str:
+    """An order bound as text: "inf" when unbounded, else its exact decimal."""
+    return "inf" if bd is None else boundvalue.decimal(bd)
+
+
+def _order_product(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """Order bound of an extension or product; unbounded absorbs, since order
+    bounds are at least 1."""
+    return None if a is None or b is None else a * b
+
+
 @dataclass(frozen=True)
 class BoundTriple:
-    """(Jordan bound, finite-abelian rank bound, finite-subgroup order bound)."""
+    """(Jordan bound, finite-abelian rank bound, finite-subgroup order bound);
+    bd is None when finite subgroups of unbounded order exist."""
 
     j: BoundValue
-    rkf: ExtNat
-    bd: ExtNat
+    rkf: int
+    bd: Optional[int]
 
     __hash__ = None
 
     def __post_init__(self):
         # j >= 1 holds by construction: BoundValue admits no base below 1
         # and no negative exponent
-        if self.bd < 1:
-            raise ValueError("order bound must be at least 1")
-        if self.bd.is_finite and not self.j.is_infinite:
-            if self.j.compare(BoundValue.from_int(int(self.bd))) > 0:
+        if self.rkf < 0:
+            raise ValueError("rank bound must be non-negative")
+        if self.bd is not None:
+            if self.bd < 1:
+                raise ValueError("order bound must be at least 1")
+            if self.j.compare(BoundValue.from_int(self.bd)) > 0:
                 raise ValueError("Jordan bound may not exceed a finite order bound")
 
     def __str__(self):
-        return f"(J<={self.j}, Rkf<={self.rkf}, Bd<={self.bd})"
+        return f"(J<={self.j}, Rkf<={self.rkf}, Bd<={render_order(self.bd)})"
 
     def to_json(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> dict:
-        return {"j": self.j.to_json(max_digits), "rkf": str(self.rkf), "bd": str(self.bd)}
+        return {"j": self.j.to_json(max_digits), "rkf": str(self.rkf),
+                "bd": render_order(self.bd)}
 
 
-def make_triple(j: BoundValue, rkf: ExtNat, bd: ExtNat) -> BoundTriple:
+def make_triple(j: BoundValue, rkf: int, bd: Optional[int]) -> BoundTriple:
     """Normalising constructor: a finite order bound also bounds the Jordan
     constant (take the trivial abelian subgroup), so j is clamped to bd."""
-    if bd.is_finite:
-        j = bv_min(j, BoundValue.from_int(int(bd)))
+    if bd is not None:
+        j = bv_min(j, BoundValue.from_int(bd))
     return BoundTriple(j, rkf, bd)
 
 
-TRIVIAL_TRIPLE = BoundTriple(BV_ONE, ExtNat(0), ExtNat(1))
+TRIVIAL_TRIPLE = BoundTriple(BV_ONE, 0, 1)
 
 
 # --- derivation traces -------------------------------------------------------
@@ -307,19 +322,17 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
     if param < 0:
         raise ValueError(f"{kind} parameter must be non-negative")
     if kind == "torus":
-        return make_triple(BV_ONE, ExtNat(param), INF)
+        return make_triple(BV_ONE, param, None)
     if kind == "unipotent":
-        return make_triple(BV_ONE, ExtNat(0), ExtNat(1))
+        return make_triple(BV_ONE, 0, 1)
     if kind == "abelian_variety":
-        return make_triple(BV_ONE, ExtNat(2 * param), INF)
+        return make_triple(BV_ONE, 2 * param, None)
     if kind == "finite":
         if param < 1:
             raise ValueError("finite group order must be at least 1")
-        return make_triple(BoundValue.from_int(param),
-                           ExtNat(param.bit_length() - 1), ExtNat(param))
+        return make_triple(BoundValue.from_int(param), param.bit_length() - 1, param)
     if kind == "gl_field":
-        return make_triple(BoundValue.from_int(gl_jordan_bound(param)),
-                           ExtNat(param), INF)
+        return make_triple(BoundValue.from_int(gl_jordan_bound(param)), param, None)
     if kind == "gl_rational":
         if param < 1:
             raise ValueError("rational general linear leaf needs dimension >= 1")
@@ -328,10 +341,10 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
         # the clamp to bd keeps bd whenever bd has no more bits than that
         k = (math.isqrt(8 * param) + 1).bit_length() - 1
         j = bd if bd.bit_length() <= 2 * param * param * k else gl_jordan_bound(param)
-        return make_triple(BoundValue.from_int(j), ExtNat(param), ExtNat(bd))
+        return make_triple(BoundValue.from_int(j), param, bd)
     # semisimple leaf: param is the total dimension of the class
     return make_triple(semisimple_jordan_bound(param, caps),
-                       ExtNat(_embedding_dim(param, caps)), INF)
+                       _embedding_dim(param, caps), None)
 
 
 def leaf_with_trace(kind: str, param: int, caps: Caps = DEFAULT_CAPS
@@ -354,7 +367,7 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
       finite-quotient   J(G) <= Bd(G2) * J(G1),      needs Bd(G2) finite;
       torsion-free part J(G) <= J(G2),               needs Bd(G1) = 1;
       rank-power        J(G) <= J(G2) * Bd(G1)^(Rk_f(G2) * Bd(G1)),
-                        needs Bd(G1), Rk_f(G2) finite and Rk_f(G2) >= 1
+                        needs Bd(G1) finite and Rk_f(G2) >= 1
                         (with Rk_f(G2) = 0 the quotient is torsion-free and
                         the finite-quotient rule already applies with
                         Bd(G2) = 1).
@@ -368,11 +381,11 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
     """
     t1, t2 = normal, quotient
     candidates: List[Tuple[str, str, BoundValue]] = []
-    if t2.bd.is_finite:
+    if t2.bd is not None:
         candidates.append((
             "finite-quotient",
             "J(G) <= Bd(G2) * J(G1) for 1 -> G1 -> G -> G2 -> 1",
-            t1.j * BoundValue.from_int(int(t2.bd)),
+            t1.j * BoundValue.from_int(t2.bd),
         ))
     if t1.bd == 1:
         candidates.append((
@@ -380,15 +393,15 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
             "if Bd(G1) = 1 then J(G) <= J(G2)",
             t2.j,
         ))
-    if t1.bd.is_finite and t2.rkf.is_finite and int(t2.rkf) >= 1:
-        b = int(t1.bd)
+    if t1.bd is not None and t2.rkf >= 1:
+        b = t1.bd
         candidates.append((
             "rank-power",
             "J(G) <= J(G2) * Bd(G1)^(Rk_f(G2) * Bd(G1))",
-            t2.j * BoundValue.from_int(b).pow(int(t2.rkf) * b),
+            t2.j * BoundValue.from_int(b).pow(t2.rkf * b),
         ))
     rkf = t1.rkf + t2.rkf
-    bd = t1.bd * t2.bd
+    bd = _order_product(t1.bd, t2.bd)
     trace = DerivationTrace()
     if candidates:
         rule, statement, j = candidates[0]
@@ -413,7 +426,7 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
 def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, DerivationTrace]:
     """Fold a direct product: all three bounds are multiplicative except the
     rank, which is additive."""
-    out = make_triple(a.j * b.j, a.rkf + b.rkf, a.bd * b.bd)
+    out = make_triple(a.j * b.j, a.rkf + b.rkf, _order_product(a.bd, b.bd))
     trace = DerivationTrace()
     trace.add("combine_product", "direct product",
               "J(G1 x G2) <= J(G1) * J(G2); Rk_f <= Rk_f(G1) + Rk_f(G2); "
@@ -422,30 +435,16 @@ def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, Deriva
     return out, trace
 
 
-# --- reductive and connected closed forms --------------------------------------
+# --- connected closed forms --------------------------------------
 
 
-def reductive_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
-    """Finite abelian subgroups of a connected reductive group of dimension
-    <= n need at most n + embedding_dim(n) generators: the central torus
-    contributes at most n and the semisimple quotient embeds linearly."""
-    return ExtNat(n + _embedding_dim(n, caps))
-
-
-def reductive_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS) -> BoundValue:
-    """Jordan bound for a connected reductive group whose derived subgroup
-    has dimension <= n, and for every quotient of a connected linear group
-    with that property: the semisimple bound for dimension n."""
-    return semisimple_jordan_bound(n, caps)
-
-
-def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
+def rank_bound_mod_commutator(n: int, m: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Rank bound after quotienting a connected group by the central
     commutator subgroup of a finite subgroup: with reductive part of
     dimension <= n and anti-affine part of dimension <= m, finite abelian
     subgroups of the quotient need at most 2m + n + embedding_dim(n)
     generators."""
-    return ExtNat(2 * m + n + _embedding_dim(n, caps))
+    return 2 * m + n + _embedding_dim(n, caps)
 
 
 def central_commutator_order(n: int) -> BoundValue:
@@ -486,7 +485,7 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
               "commutator subgroup need at most 2m + n + embedding_dim(n) "
               "generators (m the anti-affine dimension, n the reductive one)",
               (n, m), rank)
-    abelianised = BoundTriple(BV_ONE, rank, INF)
+    abelianised = BoundTriple(BV_ONE, rank, None)
     combined, ext_trace = combine_extension(commutator_leaf, abelianised)
     trace.extend(ext_trace)
     total = index_bound * combined.j
@@ -521,7 +520,7 @@ def connected_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
     return value, trace
 
 
-def connected_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
+def connected_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Rank bound 3n + embedding_dim(n) for connected groups of dimension n."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -532,7 +531,7 @@ def connected_triple(n: int, caps: Caps = DEFAULT_CAPS
                      ) -> Tuple[BoundTriple, DerivationTrace]:
     """Full triple for the family of connected groups of dimension n."""
     value, trace = connected_jordan_bound(n, caps)
-    bd = ExtNat(1) if n == 0 else INF
+    bd = 1 if n == 0 else None
     triple = make_triple(value, connected_rank_bound(n, caps), bd)
     trace.add("connected_triple", "connected-group triple",
               "the Jordan and rank bounds assembled above; positive-dimensional "
@@ -588,7 +587,7 @@ def aut0_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
     return value, trace
 
 
-def aut0_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
+def aut0_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Rank bound 4n + t + embedding_dim(t), t = 4n^2, for the connected
     automorphism group of an n-dimensional projective variety."""
     if n < 1:
@@ -599,7 +598,7 @@ def aut0_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> ExtNat:
 
 def aut0_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, DerivationTrace]:
     value, trace = aut0_jordan_bound(n, caps)
-    triple = make_triple(value, aut0_rank_bound(n, caps), INF)
+    triple = make_triple(value, aut0_rank_bound(n, caps), None)
     trace.add("aut0_triple", "automorphism-group triple",
               "the Jordan and rank bounds assembled above",
               (n,), triple)

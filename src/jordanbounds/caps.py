@@ -1,8 +1,12 @@
 """Resource caps shared by the enumeration and search routines.
 
-Every potentially unbounded computation is guarded by an explicit cap; a
+The enumeration, the subgroup lattices, permutation closures and the
+decimal expansion of symbolic bounds are guarded by explicit caps; a
 breached cap raises :class:`CapExceeded` instead of returning a partial or
-silently wrong answer.
+silently wrong answer.  The exact closed forms for the general linear group
+(`cnbound`, `minkowski`, and the DSL leaves `gl(n)` and `gl_q(n)`) have no
+cap: their cost grows fast with n, and gl_jordan_bound(1024) takes about
+35 s for a 13.7M-bit integer.
 """
 
 from __future__ import annotations

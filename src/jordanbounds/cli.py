@@ -195,7 +195,7 @@ def _run(args, caps: Caps) -> int:
             text = [f"expr: {dsl.print_expr(expr)}",
                     f"J <= {triple.j.render(digits)}",
                     f"Rk_f <= {triple.rkf}",
-                    f"Bd <= {triple.bd}"]
+                    f"Bd <= {calculus.render_order(triple.bd)}"]
         else:
             # a connected subgroup of Bir(X) acts biregularly on a projective
             # model of the same dimension, so bir shares the aut0 bound
@@ -208,7 +208,7 @@ def _run(args, caps: Caps) -> int:
         if args.json:  # the certified log10 of j costs the mpmath import
             payload.update(j=triple.j.to_json(digits), rkf=str(triple.rkf))
             if args.what == "dsl":
-                payload["bd"] = str(triple.bd)
+                payload["bd"] = calculus.render_order(triple.bd)
             if args.trace:
                 payload["trace"] = trace.to_json()
         elif args.trace:

@@ -10,25 +10,6 @@ from hypothesis import strategies as st
 
 from jordanbounds import boundvalue
 from jordanbounds.boundvalue import INF, ONE, BoundValue, _coprime_basis, bv_min
-from jordanbounds.extnat import INF as EN_INF
-from jordanbounds.extnat import ExtNat
-
-
-def test_extnat_arithmetic():
-    assert ExtNat(2) + ExtNat(3) == ExtNat(5)
-    assert ExtNat(2) + EN_INF == EN_INF
-    assert ExtNat(3) * EN_INF == EN_INF
-    assert ExtNat(0) * EN_INF == ExtNat(0)
-    assert ExtNat(4) < EN_INF
-    assert not (EN_INF < EN_INF)
-    assert EN_INF <= EN_INF
-    assert ExtNat(7) == 7
-    assert str(EN_INF) == "inf"
-    assert int(ExtNat(9)) == 9
-    with pytest.raises(OverflowError):
-        int(EN_INF)
-    with pytest.raises(ValueError):
-        ExtNat(-1)
 
 
 def test_construction_and_identity():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -8,13 +9,12 @@ from hypothesis import strategies as st
 
 from jordanbounds import calculus as calc
 from jordanbounds import dsl
-from jordanbounds.boundvalue import BoundValue, ONE as BV_ONE
+from jordanbounds.boundvalue import INF as BV_INF, BoundValue, ONE as BV_ONE, decimal
 from jordanbounds.calculus import (BoundTriple, TRIVIAL_TRIPLE, combine_extension,
                                    combine_product, gl_jordan_bound, leaf_triple,
                                    leaf_with_trace, make_triple, minkowski_bound,
                                    semisimple_jordan_bound)
 from jordanbounds.caps import CapExceeded, Caps
-from jordanbounds.extnat import INF, ExtNat
 
 from oracles import reference_gl_floor
 
@@ -155,7 +155,7 @@ def test_minkowski_clamp_certificate_holds():
 def test_gl_rational_leaf_equals_the_exact_clamp():
     for n in list(range(1, 65)) + [190]:
         assert leaf_triple("gl_rational", n) == make_triple(
-            bv(gl_jordan_bound(n)), ExtNat(n), ExtNat(minkowski_bound(n))), n
+            bv(gl_jordan_bound(n)), n, minkowski_bound(n)), n
 
 
 def test_gl_rational_leaf_does_not_compute_the_gl_bound():
@@ -182,13 +182,13 @@ def test_semisimple_jordan_bound():
 
 
 def test_leaf_values():
-    assert leaf_triple("torus", 2) == BoundTriple(BV_ONE, ExtNat(2), INF)
-    assert leaf_triple("unipotent", 5) == BoundTriple(BV_ONE, ExtNat(0), ExtNat(1))
-    assert leaf_triple("abelian_variety", 3) == BoundTriple(BV_ONE, ExtNat(6), INF)
-    assert leaf_triple("finite", 6) == BoundTriple(bv(6), ExtNat(2), ExtNat(6))
+    assert leaf_triple("torus", 2) == BoundTriple(BV_ONE, 2, None)
+    assert leaf_triple("unipotent", 5) == BoundTriple(BV_ONE, 0, 1)
+    assert leaf_triple("abelian_variety", 3) == BoundTriple(BV_ONE, 6, None)
+    assert leaf_triple("finite", 6) == BoundTriple(bv(6), 2, 6)
     assert leaf_triple("finite", 1) == TRIVIAL_TRIPLE
     gl3 = leaf_triple("gl_field", 3)
-    assert gl3.j == bv(gl_jordan_bound(3)) and gl3.rkf == 3 and not gl3.bd.is_finite
+    assert gl3.j == bv(gl_jordan_bound(3)) and gl3.rkf == 3 and gl3.bd is None
     ss = leaf_triple("semisimple", 3)
     assert ss.j == bv(gl_jordan_bound(3)) and ss.rkf == 3
     with pytest.raises(ValueError):
@@ -200,18 +200,36 @@ def test_leaf_values():
 def test_gl_rational_leaf_respects_order_bound():
     # Jordan component is clamped by the finite order bound
     t1 = leaf_triple("gl_rational", 1)
-    assert t1 == BoundTriple(bv(2), ExtNat(1), ExtNat(2))
+    assert t1 == BoundTriple(bv(2), 1, 2)
     t2 = leaf_triple("gl_rational", 2)
     assert t2.bd == 24 and t2.j == bv(24)
 
 
 def test_triple_invariants_enforced():
     with pytest.raises(ValueError):
-        BoundTriple(bv(5), ExtNat(0), ExtNat(2))  # j > finite bd
+        BoundTriple(bv(5), 0, 2)  # j > finite bd
     with pytest.raises(ValueError):
-        make_triple(BV_ONE, ExtNat(0), ExtNat(0))  # bd < 1
-    clamped = make_triple(bv(100), ExtNat(1), ExtNat(7))
+        make_triple(BV_ONE, 0, 0)  # bd < 1
+    clamped = make_triple(bv(100), 1, 7)
     assert clamped.j == bv(7)
+
+
+def test_an_infinite_jordan_bound_needs_an_unbounded_order():
+    with pytest.raises(ValueError, match="may not exceed a finite order bound"):
+        BoundTriple(BV_INF, 0, 2)
+    assert str(BoundTriple(BV_INF, 0, None)) == "(J<=inf, Rkf<=0, Bd<=inf)"
+    with pytest.raises(ValueError, match="rank bound must be non-negative"):
+        BoundTriple(BV_ONE, -1, None)
+
+
+def test_an_order_bound_past_the_str_digit_limit_renders(int_str_limit):
+    triple, _ = dsl.evaluate(dsl.parse("product(gl_q(1200), gl_q(1200))"))
+    bd = decimal(minkowski_bound(1200) ** 2)
+    assert len(bd) == 7660
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    assert str(triple).endswith(f", Bd<={bd})")
+    sys.set_int_max_str_digits(4300)
+    assert triple.to_json(max_digits=100)["bd"] == bd
 
 
 # --- combination rules ----------------------------------------------------------
@@ -219,13 +237,13 @@ def test_triple_invariants_enforced():
 
 def test_extension_examples():
     out, trace = combine_extension(leaf_triple("unipotent", 3), leaf_triple("torus", 2))
-    assert out == BoundTriple(BV_ONE, ExtNat(2), INF)
+    assert out == BoundTriple(BV_ONE, 2, None)
     assert "torsion-free" in trace.steps[-1].rule
     # rank additivity
     out, _ = combine_extension(leaf_triple("torus", 1), leaf_triple("abelian_variety", 1))
     assert out.rkf == 3
     # rank-power rule with a finite normal part
-    t2 = BoundTriple(bv(5), ExtNat(2), INF)
+    t2 = BoundTriple(bv(5), 2, None)
     out, trace = combine_extension(leaf_triple("finite", 2), t2)
     assert out.j == bv(5) * bv(2).pow(4)
     assert "rank-power" in trace.steps[-1].rule
@@ -233,8 +251,8 @@ def test_extension_examples():
 
 def test_extension_rule_choice_is_minimal():
     # when the quotient has a finite order bound, compare both rules
-    normal = BoundTriple(bv(3), ExtNat(1), ExtNat(3))
-    quotient = BoundTriple(bv(2), ExtNat(1), ExtNat(2))
+    normal = BoundTriple(bv(3), 1, 3)
+    quotient = BoundTriple(bv(2), 1, 2)
     out, trace = combine_extension(normal, quotient)
     rule1 = bv(3) * bv(2)                 # Bd(G2) * J(G1)
     rule6 = bv(2) * bv(3).pow(1 * 3)      # J(G2) * Bd(G1)^(Rkf(G2) Bd(G1))
@@ -247,7 +265,7 @@ def test_extension_no_rule_gives_infinite():
     av = leaf_triple("abelian_variety", 1)
     out, trace = combine_extension(av, av)
     assert out.j.is_infinite
-    assert not out.bd.is_finite
+    assert out.bd is None
     assert out.rkf == 4
     assert "no finiteness rule" in trace.steps[-1].rule
 
@@ -263,15 +281,15 @@ def test_extension_trivial_identity():
 
 def test_product_examples():
     out, _ = combine_product(leaf_triple("torus", 1), leaf_triple("torus", 1))
-    assert out == BoundTriple(BV_ONE, ExtNat(2), INF)
+    assert out == BoundTriple(BV_ONE, 2, None)
     out, _ = combine_product(leaf_triple("finite", 6), leaf_triple("abelian_variety", 1))
-    assert out == BoundTriple(bv(6), ExtNat(4), INF)
+    assert out == BoundTriple(bv(6), 4, None)
     out, _ = combine_product(leaf_triple("gl_rational", 1), leaf_triple("gl_rational", 1))
     assert out.bd == 4 and out.j == bv(4)
 
 
 _triples = st.builds(
-    lambda j, r, b: make_triple(bv(j), ExtNat(r), INF if b is None else ExtNat(max(b, 1))),
+    lambda j, r, b: make_triple(bv(j), r, None if b is None else max(b, 1)),
     st.integers(1, 50), st.integers(0, 6),
     st.one_of(st.none(), st.integers(1, 50)))
 
@@ -297,9 +315,8 @@ def test_product_associative(a, b, c):
 def test_combined_triples_keep_invariants(a, b):
     for out in (combine_product(a, b)[0], combine_extension(a, b)[0]):
         assert out.j.is_infinite or out.j.compare(BV_ONE) >= 0
-        assert out.bd >= 1
-        if out.bd.is_finite and not out.j.is_infinite:
-            assert out.j.compare(bv(int(out.bd))) <= 0
+        if out.bd is not None:
+            assert out.bd >= 1 and out.j.compare(bv(out.bd)) <= 0
 
 
 def test_triples_with_an_infinite_order_bound_need_no_logarithm(monkeypatch):
@@ -308,32 +325,23 @@ def test_triples_with_an_infinite_order_bound_need_no_logarithm(monkeypatch):
 
     monkeypatch.setattr(BoundValue, "_log10_ends", no_log10)
     gl64, _ = leaf_with_trace("gl_field", 64)
-    assert not gl64.bd.is_finite
+    assert gl64.bd is None
     out, _ = combine_product(gl64, gl64)
     assert out.j == gl64.j * gl64.j
     triple, _ = calc.connected_triple(2)
-    assert not triple.bd.is_finite
+    assert triple.bd is None
 
 
-# --- reductive / connected / variety bounds ----------------------------------------
+# --- connected / variety bounds ----------------------------------------
 
 
 def test_rank_bounds():
-    assert calc.reductive_rank_bound(2) == 2
-    assert calc.reductive_rank_bound(3) == 6
-    assert calc.reductive_rank_bound(8) == 16
     assert calc.rank_bound_mod_commutator(0, 1) == 2
     assert calc.rank_bound_mod_commutator(3, 0) == 6
     assert calc.rank_bound_mod_commutator(4, 2) == 11
     assert calc.connected_rank_bound(0) == 0
     assert calc.connected_rank_bound(2) == 6
     assert calc.connected_rank_bound(3) == 12
-
-
-def test_reductive_jordan_bound_examples():
-    assert calc.reductive_jordan_bound(2) == BV_ONE
-    assert calc.reductive_jordan_bound(3) == bv(gl_jordan_bound(3))
-    assert calc.reductive_jordan_bound(14) == bv(gl_jordan_bound(16))
 
 
 def test_connected_jordan_closed_form():
@@ -351,7 +359,7 @@ def _pipeline_value(n):
     index = semisimple_jordan_bound(n)
     commutator = leaf_triple("finite", n ** n if n else 1)
     rank = calc.rank_bound_mod_commutator(n, n)
-    abelianised = BoundTriple(BV_ONE, rank, INF)
+    abelianised = BoundTriple(BV_ONE, rank, None)
     combined, _ = combine_extension(commutator, abelianised)
     return index * combined.j
 
@@ -371,7 +379,7 @@ def test_aut0_bounds():
     # the identity 4n + t + embedding_dim(t) recomputed independently
     from jordanbounds.enumeration import embedding_dim
     t = 4 * 1 * 1
-    assert calc.aut0_rank_bound(1) == ExtNat(4 * 1 + t + embedding_dim(t))
+    assert calc.aut0_rank_bound(1) == 4 * 1 + t + embedding_dim(t)
     with pytest.raises(ValueError):
         calc.aut0_jordan_bound(0)
 

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import jsonschema
 import pytest
 
 import jordanbounds
+from jordanbounds.boundvalue import decimal
 from jordanbounds.calculus import gl_jordan_bound, minkowski_bound
 from jordanbounds.caps import Caps
 from jordanbounds.cli import main
@@ -352,6 +355,21 @@ def test_text_verify_expands_the_bound_up_to_the_digit_cap(capsys, tmp_path):
     assert code == 0 and bound == f"bound {expected} (~10^[11251, 11251])"
 
 
+def test_bound_dsl_prints_an_order_bound_past_the_str_digit_limit(
+        capsys, tmp_path, int_str_limit):
+    f = tmp_path / "caps.json"
+    f.write_text(json.dumps({"decimal_digits": 100}))
+    argv = ("--caps", str(f), "bound", "dsl", "--expr", "product(gl_q(1200), gl_q(1200))")
+    bd = decimal(minkowski_bound(1200) ** 2)
+    assert len(bd) == 7660
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and f"Bd <= {bd}" in out.splitlines(), err
+    sys.set_int_max_str_digits(4300)
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["bd"] == bd, err
+
+
 def test_error_paths(capsys):
     code, _, err = run_cli(capsys, "bound", "dsl", "--expr", "torus(")
     assert code == 1 and "error" in err
@@ -406,6 +424,33 @@ def test_readme_caps_table_matches_caps_fields():
         if line.startswith("| `") and len(cells) == 3:
             rows[cells[0].strip("`")] = int(cells[1])
     assert rows == {f.name: f.default for f in dataclasses.fields(Caps)}
+
+
+def test_readme_layout_lists_every_module():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = {line.split()[0] for line in block.splitlines()
+              if line.startswith("  ") and line.split()[0].endswith(".py")}
+    package = pathlib.Path(jordanbounds.__file__).parent
+    modules = {p.name for p in package.glob("*.py") if not p.name.startswith("__")}
+    assert listed == modules
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+             for d in declared}
+    imported = set()
+    for path in pathlib.Path(jordanbounds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"jordanbounds"}
+    assert names == third_party
 
 
 @pytest.mark.parametrize("text,message", [
@@ -486,13 +531,12 @@ EXPORTS = {
                 "combine_extension combine_product connected_jordan_bound "
                 "connected_rank_bound connected_triple gl_jordan_bound leaf_triple "
                 "make_triple minkowski_bound rank_bound_mod_commutator "
-                "reductive_jordan_bound reductive_rank_bound semisimple_jordan_bound",
+                "semisimple_jordan_bound",
     "caps": "Caps CapExceeded DEFAULT_CAPS load_caps",
     "dsl": "GroupExpr ParseError evaluate parse parse_file_text print_expr",
     "enumeration": "IsogenyClass SemisimpleType class_table embedding_dim "
                    "enumerate_central_subgroups enumerate_semisimple isogeny_classes "
                    "max_center_order min_faithful_dim quotient_center",
-    "extnat": "INF ExtNat",
     "permgroups": "PermGroup Permutation abelian_invariants abelian_rank closure "
                   "direct_product jordan_constant jordan_index load_group "
                   "max_abelian_order verify_bound",
@@ -509,7 +553,7 @@ def test_package_exports_resolve_lazily():
         for name in exported.split():
             assert getattr(jordanbounds, name) is getattr(sub, name), name
             names += 1
-    assert names == len(jordanbounds.__all__) == 65
+    assert names == len(jordanbounds.__all__) == 61
     with pytest.raises(AttributeError, match="no_such_name"):
         jordanbounds.no_such_name
     assert jordanbounds.__version__ == "0.1.0"

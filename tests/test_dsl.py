@@ -11,7 +11,6 @@ from jordanbounds.calculus import BoundTriple
 from jordanbounds.caps import CapExceeded, Caps
 from jordanbounds.dsl import (Extension, Leaf, ParseError, Product, Semisimple,
                               evaluate, parse, parse_file_text, print_expr)
-from jordanbounds.extnat import INF, ExtNat
 from jordanbounds.rootsystems import SimpleType
 
 
@@ -174,7 +173,7 @@ def test_file_parsing_with_comments():
 
 def test_evaluate_leaves():
     triple, _ = evaluate(parse("torus(2)"))
-    assert triple == BoundTriple(BV_ONE, ExtNat(2), INF)
+    assert triple == BoundTriple(BV_ONE, 2, None)
     triple, _ = evaluate(parse("connected(2)"))
     assert triple.j == BoundValue.from_int(4).pow(24)
     assert triple.rkf == 6
@@ -186,13 +185,13 @@ def test_evaluate_extension_rule3_grid():
     for d in range(11):
         for r in range(11):
             triple, _ = evaluate(Extension(Leaf("unipotent", d), Leaf("torus", r)))
-            assert triple == BoundTriple(BV_ONE, ExtNat(r), INF), (d, r)
+            assert triple == BoundTriple(BV_ONE, r, None), (d, r)
 
 
 def test_evaluate_product_and_reorder_invariance():
     e1 = parse("product(finite(6), abelian_variety(1))")
     t1, _ = evaluate(e1)
-    assert t1 == BoundTriple(BoundValue.from_int(6), ExtNat(4), INF)
+    assert t1 == BoundTriple(BoundValue.from_int(6), 4, None)
     e2 = parse("product(abelian_variety(1), finite(6))")
     t2, _ = evaluate(e2)
     assert t1.j == t2.j and t1.rkf == t2.rkf and t1.bd == t2.bd
