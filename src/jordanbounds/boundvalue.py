@@ -5,15 +5,22 @@ unexpanded, together with a certified base-10 logarithm interval.  Bounds
 like (n^n)^((3n+E)*n^n) dwarf anything materialisable, so arithmetic stays
 on the factored form; decimal expansion is permitted only below a digit cap.
 
+Logarithms are certified in exact integers: each base b gets cached bounds
+lo <= 2^128 * log2(b) <= hi, a value sums e * [lo, hi] over its factors,
+and its log10 enclosure divides that by the bounds of log2(10), rounded
+outward to floats.
+
 Equality is mathematical, not structural: 4^24 == 2^48.  It is decided by
 rewriting both sides over a joint gcd-free (pairwise coprime) base set.
-Order comparisons use outward-rounded interval enclosures of log10 with
-escalating precision; sides too close to separate at the first precision
-are compared as exact integers when both expand below the digit cap.
+Order comparisons try, in turn: the bit-length ranges 2^low <= value <=
+2^bits, equality, the integer log2 enclosures, exact integers when both
+sides expand below the digit cap, and last mpmath interval logarithms at
+escalating precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -90,6 +97,72 @@ def _decimal_product(factors: Iterable[Tuple[int, int]]):
             d = convert(base, bits) if bits > _DECIMAL_SPLIT_BITS else mpd.Decimal(base)
             out *= d ** exp
         return out
+
+
+# Scale of the integer logarithm bounds: lo <= 2^_LOG_PREC * log2(b) <= hi
+_LOG_PREC = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _log2_bounds(base: int) -> Tuple[int, int]:
+    """Integers lo <= 2^P * log2(base) <= hi at P = _LOG_PREC, at most two
+    units apart; exact for powers of two.
+
+    log2(base) = k + log2(m) with k = bit_length - 1 and m = base / 2^k in
+    [1, 2).  The fraction's bits come from repeated squaring: with
+    d = [m^2 >= 2] and m' = m^2 / 2^d, log2(m) = (d + log2(m')) / 2.  Two
+    fixed-point copies of m with W = P + 32 fraction bits run this, a floor
+    copy a <= m and a ceiling copy c >= m, each squaring and halving rounded
+    its own way.  A rounded step is monotone in its direction: the floor
+    copy takes a' <= a^2 / 2^d with a' in [1, 2), so log2(a) >=
+    (d + log2(a')) / 2 >= d / 2; the ceiling copy takes c' >= c^2 / 2^d
+    with c' in [1, 2], so log2(c) <= (d + log2(c')) / 2 <= (d + 1) / 2.
+    Unrolled over P steps, the floor copy's bits D give 2^P * log2(m) >= D
+    and the ceiling copy's bits D' give 2^P * log2(m) <= D' + 1.  The two
+    copies start within 2^-W of each other and each step loses about 2^-W
+    more, so after P steps D' - D < 1 + 2^-29, that is D' <= D + 1.
+    """
+    k = base.bit_length() - 1
+    whole = k << _LOG_PREC
+    if base == 1 << k:
+        return whole, whole
+    w = _LOG_PREC + 32
+    if k <= w:
+        a = c = base << (w - k)
+    else:
+        a = base >> (k - w)
+        c = -(-base >> (k - w))
+    two = 2 << w
+    lo = hi = 0
+    for _ in range(_LOG_PREC):
+        a = a * a >> w
+        c = -(-c * c >> w)
+        lo <<= 1
+        hi <<= 1
+        if a >= two:
+            a >>= 1
+            lo |= 1
+        if c >= two:
+            c = (c + 1) >> 1
+            hi |= 1
+    return whole + lo, whole + hi + 1
+
+
+def _float_outward(num: int, den: int, up: bool) -> float:
+    """num / den > 0 rounded to a float downward (up False) or upward (up
+    True).  Int true division rounds to nearest; the result is checked
+    exactly and stepped one ulp if it landed on the wrong side.  Past the
+    float range the result is infinite."""
+    try:
+        x = num / den
+    except OverflowError:
+        return math.inf
+    p, q = x.as_integer_ratio()
+    if up and p * den < num * q:
+        return math.nextafter(x, math.inf)
+    if not up and p * den > num * q:
+        return math.nextafter(x, -math.inf)
+    return x
 
 
 def _coprime_basis(nums: Iterable[int]) -> List[int]:
@@ -231,6 +304,10 @@ class BoundValue:
         """An upper bound on the bit length of a finite value."""
         return sum(e * b.bit_length() for b, e in self._factors)
 
+    def _low_bits(self) -> int:
+        """A lower bound on log2 of a finite value."""
+        return sum(e * (b.bit_length() - 1) for b, e in self._factors)
+
     def to_int(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> Optional[int]:
         """Expand to a plain integer, or None when past the digit cap."""
         if self._infinite:
@@ -263,20 +340,28 @@ class BoundValue:
 
     # -- certified log10 ---------------------------------------------------
 
+    def _log2_sums(self) -> Tuple[int, int]:
+        """Integers lo <= 2^_LOG_PREC * log2 of a finite value <= hi."""
+        lo = hi = 0
+        for base, exp in self._factors:
+            blo, bhi = _log2_bounds(base)
+            lo += exp * blo
+            hi += exp * bhi
+        return lo, hi
+
     def log10_interval(self) -> Tuple[float, float]:
-        """Certified enclosure of log10 of the value (interval arithmetic)."""
+        """Certified enclosure of log10 of the value, as floats."""
         if self._infinite:
             return (math.inf, math.inf)
-        from mpmath.libmp import round_ceiling, round_floor, to_float
-
-        # round the ends outward, so that the floats still enclose
-        a, b = self._log10_ends(30)
-        return (to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling))
+        lo, hi = self._log2_sums()
+        ten_lo, ten_hi = _log2_bounds(10)
+        return (_float_outward(lo, ten_hi, False), _float_outward(hi, ten_lo, True))
 
     def _log10_ends(self, dps: int):
         """Ends of an mpmath interval enclosing log10 of a finite value, as
-        raw mpf tuples at dps significant digits."""
-        import mpmath  # deferred: most commands never compare magnitudes
+        raw mpf tuples at dps significant digits; only comparisons finer
+        than the integer log2 enclosures need it."""
+        import mpmath  # deferred: almost no comparison gets this far
 
         old = mpmath.iv.dps
         try:
@@ -319,10 +404,16 @@ class BoundValue:
             if self._infinite and o._infinite:
                 return 0
             return 1 if self._infinite else -1
+        # 2^low <= value <= 2^bits, with equality at ONE's 0 = 0: only
+        # strictly disjoint ranges decide
+        if self._bits() < o._low_bits():
+            return -1
+        if o._bits() < self._low_bits():
+            return 1
         if self == o:
             return 0
-        alo, ahi = self.log10_interval()
-        blo, bhi = o.log10_interval()
+        alo, ahi = self._log2_sums()
+        blo, bhi = o._log2_sums()
         if ahi < blo:
             return -1
         if bhi < alo:
@@ -331,8 +422,7 @@ class BoundValue:
         a, b = self.to_int(), o.to_int()
         if a is not None and b is not None:
             return (a > b) - (a < b)
-        # else escalate, comparing the interval ends unrounded: float ends
-        # cannot part values whose log10 lie within one ulp
+        # else escalate to mpmath interval logarithms, 60 digits and up
         from mpmath.libmp import mpf_lt
 
         dps = 60

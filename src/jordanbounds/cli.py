@@ -177,7 +177,7 @@ def _run(args, caps: Caps) -> int:
     if args.verb == "sbound":
         value = calculus.semisimple_jordan_bound(args.dim, caps)
         payload = {"command": "sbound", "dim": args.dim}
-        if args.json:  # its certified log10 costs the mpmath import
+        if args.json:
             payload["value"] = value.to_json(digits)
         _emit(args, payload, [value.render(digits)])
         return 0
@@ -205,7 +205,7 @@ def _run(args, caps: Caps) -> int:
             triple, trace = fn(args.dim, caps)
             payload = {"command": f"bound {args.what}", "dim": args.dim}
             text = [f"J <= {triple.j.render(digits)}", f"Rk_f <= {triple.rkf}"]
-        if args.json:  # the certified log10 of j costs the mpmath import
+        if args.json:
             payload.update(j=triple.j.to_json(digits), rkf=str(triple.rkf))
             if args.what == "dsl":
                 payload["bd"] = calculus.render_order(triple.bd)

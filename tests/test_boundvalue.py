@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -130,11 +131,21 @@ def test_compare_adjacent_big_values_is_exact():
     below = BoundValue.from_int(10 ** 30 - 1)
     assert above.compare(below) == 1
     assert below.compare(BoundValue([(10, 30)])) == -1
-    assert below.log10_interval()[0] < 30 < below.log10_interval()[1]
+    # log10(10^30 - 1) = 30 - 4.3e-31: the upper end may round to 30.0 itself
+    lo, hi = below.log10_interval()
+    assert lo < 30
+    with mpmath.workdps(60):
+        true = mpmath.log10(10 ** 30 - 1)
+        assert lo <= true <= hi
 
 
-def test_compare_separates_values_within_one_ulp_of_log10():
-    # past the digit cap, and their log10 enclosures round to the same floats
+def test_compare_separates_values_within_one_ulp_of_log10(monkeypatch):
+    def no_mpmath(self, dps):
+        raise AssertionError("mpmath escalation")
+
+    # past the digit cap, and their log10 enclosures round to the same floats;
+    # the integer log2 enclosures part them without escalating
+    monkeypatch.setattr(BoundValue, "_log10_ends", no_mpmath)
     a = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 39, 1)])
     b = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 61, 1)])
     assert a.log10_interval() == b.log10_interval()
@@ -142,6 +153,77 @@ def test_compare_separates_values_within_one_ulp_of_log10():
     assert a.compare(b) == -1
     assert b.compare(a) == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_compare_edge_cases():
+    assert ONE.compare(ONE) == 0 and ONE.compare(BoundValue()) == 0
+    assert ONE.compare(BoundValue.from_int(2)) == -1
+    assert BoundValue.from_int(2 ** 64).compare(BoundValue.from_int(2 ** 64 - 1)) == 1
+    assert BoundValue.from_int(2 ** 64 - 1).compare(BoundValue.from_int(2 ** 64)) == -1
+    assert BoundValue([(2, 64)]).compare(BoundValue.from_int(2 ** 64)) == 0
+    assert BoundValue.from_int(2 ** 64).compare(BoundValue([(2, 64)])) == 0
+
+
+def test_compare_by_bit_lengths_takes_no_logarithm(monkeypatch):
+    def no_log(*args):
+        raise AssertionError("logarithm taken")
+
+    monkeypatch.setattr(boundvalue, "_log2_bounds", no_log)
+    monkeypatch.setattr(BoundValue, "_log10_ends", no_log)
+    bound = BoundValue([(256, 3840), (74814184347878, 1)])
+    assert BoundValue.from_int(20).compare(bound) == -1
+    assert bound.compare(BoundValue.from_int(20)) == 1
+    assert BoundValue.from_int(1000).compare(BoundValue.from_int(2 ** 64)) == -1
+
+
+@st.composite
+def log_bases(draw):
+    """Small and large bases, powers of 10 and of 2 and their neighbours."""
+    kind = draw(st.sampled_from(["small", "large", "ten", "two"]))
+    if kind == "small":
+        return draw(st.integers(2, 1000))
+    if kind == "large":
+        return draw(st.integers(2, 2 ** 4000))
+    base = 10 if kind == "ten" else 2
+    return max(2, base ** draw(st.integers(1, 400)) + draw(st.sampled_from([0, 0, -1, 1])))
+
+
+def _iv_sum(terms):
+    """Exact ends (as Fractions) of an mpmath interval at 60 digits enclosing
+    sum(coef * log(b) / log(base)) over (coef, b, base) terms."""
+    iv = mpmath.iv
+    old = iv.dps
+    try:
+        iv.dps = 60
+        total = iv.mpf(0)
+        for coef, b, base in terms:
+            total += iv.mpf(coef) * iv.log(iv.mpf(b)) / iv.log(iv.mpf(base))
+        return tuple(Fraction(*mpmath.libmp.to_rational(end)) for end in total._mpi_)
+    finally:
+        iv.dps = old
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(log_bases(), st.one_of(st.integers(1, 1000),
+                                                   st.integers(1, 2 ** 80))),
+                max_size=4))
+def test_log10_interval_is_a_certified_two_ulp_enclosure(factors):
+    value = BoundValue(factors)
+    lo, hi = value.log10_interval()
+    true_lo, true_hi = _iv_sum((e, b, 10) for b, e in value.factors)
+    assert lo <= true_hi and true_lo <= hi
+    assert hi <= math.nextafter(math.nextafter(lo, math.inf), math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_bases())
+def test_log2_bounds_enclose_the_scaled_logarithm(base):
+    lo, hi = boundvalue._log2_bounds(base)
+    true_lo, true_hi = _iv_sum([(2 ** boundvalue._LOG_PREC, base, 2)])
+    assert lo <= true_hi and true_lo <= hi
+    assert hi - lo <= 2
+    if base & (base - 1) == 0:
+        assert lo == hi == (base.bit_length() - 1) << boundvalue._LOG_PREC
 
 
 def test_log10_interval_encloses_truth():

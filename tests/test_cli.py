@@ -186,7 +186,8 @@ def test_big_cnbound_and_minkowski_print_exact_values(capsys, int_str_limit):
 
 # sha256 of stdout, recorded before the GL floor and the large decimals
 # were computed without quadratic steps (the connected(5) lines before large
-# values were expanded as libmpdec powers); the bytes must not move
+# values were expanded as libmpdec powers, the aut0 and verify lines before
+# log10 enclosures were summed from integer bounds); the bytes must not move
 PINNED_STDOUT_SHA256 = [
     (["cnbound", "--n", "200"],
      "8bc334b52da695fb5e33443544ff4d6f3b90346cddc1eb4097cb8e6d3ea95c3c"),
@@ -198,12 +199,21 @@ PINNED_STDOUT_SHA256 = [
      "c1a77423f4f969f968a312fef8012e1483e402f9b910d335e2f7b1ddde862a94"),
     (["--json", "bound", "connected", "--dim", "5"],
      "afadc2a91055d1641583b51a90c4d17b45c47e56aa201818e750e09d15070e4e"),
+    (["--json", "--trace", "bound", "aut0", "--dim", "1"],
+     "03cc871f65c3d104ca693cf5579518d65da8f5979db3dcccb072b8702d5929c2"),
+    (["--json", "bound", "aut0", "--dim", "2"],
+     "b1d3d58a32f413aabdb47e864d1063b7a3c4c12ac354061fadff001e2719774d"),
+    (["bound", "aut0", "--dim", "2"],
+     "37688ed086bb7b4c37cd70e5a39b2f920d1d0ff6a0dc50d7d95a94fe25f387e2"),
+    (["--json", "finite", "verify", "--file", "corpus/s5.grp", "--context", "connected_dim:4"],
+     "61ed5e84fd243cbc6532975f881c21b404e48c587c2afb3b0351aeb5f793bb7f"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT_SHA256,
                          ids=[" ".join(argv) for argv, _ in PINNED_STDOUT_SHA256])
-def test_big_exact_outputs_are_pinned(capsys, argv, digest):
+def test_big_exact_outputs_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.chdir(REPO_ROOT)  # the verify line names its file as given
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -503,12 +513,23 @@ COLD_CASES = [
     (["sbound", "--dim", "12"], ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
     (["bound", "dsl", "--expr", "semisimple([A1,A1,A1,A1,A1],sc)"],
      ("jordanbounds.permgroups", "mpmath")),
+    # log10 enclosures and magnitude comparisons need no mpmath either
+    (["--json", "--trace", "bound", "aut0", "--dim", "1"],
+     ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["--json", "bound", "aut0", "--dim", "2"],
+     ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["bound", "aut0", "--dim", "2"], ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["--json", "finite", "verify", "--file", "corpus/s5.grp", "--context", "connected_dim:4"],
+     ("jordanbounds.dsl", "mpmath")),
+    (["--json", "--trace", "bound", "dsl", "--expr", "product(gl(40), torus(3))"],
+     ("jordanbounds.permgroups", "mpmath")),
 ]
 
 
 @pytest.mark.parametrize("argv, absent", COLD_CASES,
                          ids=[" ".join(argv) for argv, _ in COLD_CASES])
-def test_cold_verb_imports_only_its_modules(capsys, argv, absent):
+def test_cold_verb_imports_only_its_modules(capsys, monkeypatch, argv, absent):
+    monkeypatch.chdir(REPO_ROOT)  # where the fresh process runs
     code = ("import runpy, sys\n"
             f"sys.argv = ['jordanbounds', *{argv!r}]\n"
             "try:\n"
