@@ -26,15 +26,14 @@ _SUBMODULE = {name: module for module, names in (
     ("caps", "Caps CapExceeded DEFAULT_CAPS load_caps"),
     ("dsl", "GroupExpr ParseError evaluate parse parse_file_text print_expr"),
     ("enumeration", "IsogenyClass SemisimpleType class_table embedding_dim "
-                    "enumerate_central_subgroups enumerate_semisimple "
-                    "isogeny_classes max_center_order min_faithful_dim "
-                    "quotient_center"),
-    ("permgroups", "PermGroup Permutation abelian_invariants abelian_rank closure "
+                    "enumerate_semisimple isogeny_classes max_center_order "
+                    "min_faithful_dim quotient_center"),
+    ("permgroups", "PermGroup Permutation abelian_invariants closure "
                    "direct_product jordan_constant jordan_index load_group "
                    "max_abelian_order verify_bound"),
     ("rootsystems", "CatalogEntry CentralCharacter DominantWeight RootSystem "
                     "SimpleType admissible_types build_root_system catalog_entry "
-                    "central_character irrep_kernel_on_center weyl_dim"),
+                    "central_character weyl_dim"),
 ) for name in names.split()}
 
 __all__ = list(_SUBMODULE)

@@ -6,16 +6,16 @@ like (n^n)^((3n+E)*n^n) dwarf anything materialisable, so arithmetic stays
 on the factored form; decimal expansion is permitted only below a digit cap.
 
 Logarithms are certified in exact integers: each base b gets cached bounds
-lo <= 2^128 * log2(b) <= hi, a value sums e * [lo, hi] over its factors,
-and its log10 enclosure divides that by the bounds of log2(10), rounded
-outward to floats.
+lo <= 2^P * log2(b) <= hi, a value sums e * [lo, hi] over its factors,
+and its log10 enclosure divides the P = 128 sums by the bounds of
+log2(10), rounded outward to floats.
 
 Equality is mathematical, not structural: 4^24 == 2^48.  It is decided by
 rewriting both sides over a joint gcd-free (pairwise coprime) base set.
 Order comparisons try, in turn: the bit-length ranges 2^low <= value <=
-2^bits, equality, the integer log2 enclosures, exact integers when both
-sides expand below the digit cap, and last mpmath interval logarithms at
-escalating precision.
+2^bits, equality, the integer log2 enclosures at P = 128, exact integers
+when both sides expand below the digit cap, and last the integer
+enclosures at doubling precision.
 """
 
 from __future__ import annotations
@@ -99,14 +99,17 @@ def _decimal_product(factors: Iterable[Tuple[int, int]]):
         return out
 
 
-# Scale of the integer logarithm bounds: lo <= 2^_LOG_PREC * log2(b) <= hi
+# Scale of the integer logarithm bounds: lo <= 2^_LOG_PREC * log2(b) <= hi.
+# compare doubles it up to _LOG_PREC_MAX for values too close to call.
 _LOG_PREC = 128
+_LOG_PREC_MAX = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
-def _log2_bounds(base: int) -> Tuple[int, int]:
-    """Integers lo <= 2^P * log2(base) <= hi at P = _LOG_PREC, at most two
-    units apart; exact for powers of two.
+def _log2_bounds(base: int, prec: int = _LOG_PREC) -> Tuple[int, int]:
+    """Integers lo <= 2^P * log2(base) <= hi at P = prec, at most two units
+    apart; exact for powers of two.  Callers pass prec positionally, so the
+    cache keeps one entry per (base, P).
 
     log2(base) = k + log2(m) with k = bit_length - 1 and m = base / 2^k in
     [1, 2).  The fraction's bits come from repeated squaring: with
@@ -118,15 +121,21 @@ def _log2_bounds(base: int) -> Tuple[int, int]:
     (d + log2(a')) / 2 >= d / 2; the ceiling copy takes c' >= c^2 / 2^d
     with c' in [1, 2], so log2(c) <= (d + log2(c')) / 2 <= (d + 1) / 2.
     Unrolled over P steps, the floor copy's bits D give 2^P * log2(m) >= D
-    and the ceiling copy's bits D' give 2^P * log2(m) <= D' + 1.  The two
-    copies start within 2^-W of each other and each step loses about 2^-W
-    more, so after P steps D' - D < 1 + 2^-29, that is D' <= D + 1.
+    and the ceiling copy's bits D' give 2^P * log2(m) <= D' + 1.
+
+    Width: the copies start within one unit 2^-W of each other, and a step
+    rounds each copy by at most two units on a mantissa >= 1, which moves
+    its log2 by less than 3 * 2^-W.  Step j's loss is scaled by 2^(P-j-1)
+    in the unrolled sum, and these weights add up to less than 2^P, so
+    D' - D < 1 + (1.5 + 3 + 3) * 2^(P-W) < 1 + 2^-29, that is D' <= D + 1.
+    The bound depends on W - P = 32 alone, so it holds at every P, in
+    particular at every P <= _LOG_PREC_MAX that compare asks for.
     """
     k = base.bit_length() - 1
-    whole = k << _LOG_PREC
+    whole = k << prec
     if base == 1 << k:
         return whole, whole
-    w = _LOG_PREC + 32
+    w = prec + 32
     if k <= w:
         a = c = base << (w - k)
     else:
@@ -134,7 +143,7 @@ def _log2_bounds(base: int) -> Tuple[int, int]:
         c = -(-base >> (k - w))
     two = 2 << w
     lo = hi = 0
-    for _ in range(_LOG_PREC):
+    for _ in range(prec):
         a = a * a >> w
         c = -(-c * c >> w)
         lo <<= 1
@@ -340,11 +349,11 @@ class BoundValue:
 
     # -- certified log10 ---------------------------------------------------
 
-    def _log2_sums(self) -> Tuple[int, int]:
-        """Integers lo <= 2^_LOG_PREC * log2 of a finite value <= hi."""
+    def _log2_sums(self, prec: int) -> Tuple[int, int]:
+        """Integers lo <= 2^prec * log2 of a finite value <= hi."""
         lo = hi = 0
         for base, exp in self._factors:
-            blo, bhi = _log2_bounds(base)
+            blo, bhi = _log2_bounds(base, prec)
             lo += exp * blo
             hi += exp * bhi
         return lo, hi
@@ -353,26 +362,9 @@ class BoundValue:
         """Certified enclosure of log10 of the value, as floats."""
         if self._infinite:
             return (math.inf, math.inf)
-        lo, hi = self._log2_sums()
-        ten_lo, ten_hi = _log2_bounds(10)
+        lo, hi = self._log2_sums(_LOG_PREC)
+        ten_lo, ten_hi = _log2_bounds(10, _LOG_PREC)
         return (_float_outward(lo, ten_hi, False), _float_outward(hi, ten_lo, True))
-
-    def _log10_ends(self, dps: int):
-        """Ends of an mpmath interval enclosing log10 of a finite value, as
-        raw mpf tuples at dps significant digits; only comparisons finer
-        than the integer log2 enclosures need it."""
-        import mpmath  # deferred: almost no comparison gets this far
-
-        old = mpmath.iv.dps
-        try:
-            mpmath.iv.dps = dps
-            total = mpmath.iv.mpf(0)
-            ln10 = mpmath.iv.log(mpmath.iv.mpf(10))
-            for base, exp in self._factors:
-                total += mpmath.iv.mpf(exp) * mpmath.iv.log(mpmath.iv.mpf(base)) / ln10
-            return total._mpi_
-        finally:
-            mpmath.iv.dps = old
 
     # -- comparisons -------------------------------------------------------
 
@@ -412,28 +404,23 @@ class BoundValue:
             return 1
         if self == o:
             return 0
-        alo, ahi = self._log2_sums()
-        blo, bhi = o._log2_sums()
-        if ahi < blo:
-            return -1
-        if bhi < alo:
-            return 1
-        # too close to call: decide exactly when both expand
-        a, b = self.to_int(), o.to_int()
-        if a is not None and b is not None:
-            return (a > b) - (a < b)
-        # else escalate to mpmath interval logarithms, 60 digits and up
-        from mpmath.libmp import mpf_lt
-
-        dps = 60
-        while dps <= 100_000:
-            alo, ahi = self._log10_ends(dps)
-            blo, bhi = o._log10_ends(dps)
-            if mpf_lt(ahi, blo):
+        # equal values were caught above, and a nonzero linear form in
+        # logarithms of integers is bounded away from zero (Baker), so finer
+        # enclosures separate any pair; the cap bounds the work
+        prec = _LOG_PREC
+        while prec <= _LOG_PREC_MAX:
+            alo, ahi = self._log2_sums(prec)
+            blo, bhi = o._log2_sums(prec)
+            if ahi < blo:
                 return -1
-            if mpf_lt(bhi, alo):
+            if bhi < alo:
                 return 1
-            dps *= 2
+            if prec == _LOG_PREC:
+                # too close to call: decide exactly when both expand
+                a, b = self.to_int(), o.to_int()
+                if a is not None and b is not None:
+                    return (a > b) - (a < b)
+            prec *= 2
         raise ArithmeticError("bound comparison failed to converge")
 
     def __lt__(self, other):

@@ -473,8 +473,9 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
     order = central_commutator_order(n)
     trace.add("central_commutator_order", "central commutator order",
               "the subgroup of bounded index can be chosen with central "
-              "commutator subgroup of order at most n^n, the largest center "
-              "order among semisimple groups of dimension at most n",
+              "commutator subgroup of order at most n^n, an upper bound on "
+              "2^floor(n/3), the largest center order among semisimple "
+              "groups of dimension at most n",
               (n,), order)
     commutator_leaf, leaf_trace = leaf_with_trace(
         "finite", order.to_int(max_digits=10 ** 7), caps)

@@ -158,13 +158,6 @@ def enumerate_semisimple(max_dim: int, caps: Caps = DEFAULT_CAPS) -> List[Semisi
     return sorted(out, key=lambda s: (s.dim, tuple((f.family, f.rank) for f in s.factors)))
 
 
-def enumerate_central_subgroups(group: FiniteAbelianGroup,
-                                caps: Caps = DEFAULT_CAPS) -> List[CenterSubgroup]:
-    """Every subgroup of a finite abelian group, smallest first."""
-    subs = abelian.all_subgroups(group.factors, caps)
-    return [CenterSubgroup(group.factors, s) for s in subs]
-
-
 def isogeny_classes(base: SemisimpleType, caps: Caps = DEFAULT_CAPS) -> List[IsogenyClass]:
     moduli = base.center_moduli
     return [IsogenyClass(base, sub) for sub in abelian.all_subgroups(moduli, caps)]

@@ -272,11 +272,6 @@ def abelian_invariants(group: PermGroup) -> Tuple[int, ...]:
     return invariants_from_orders(orders)
 
 
-def abelian_rank(group: PermGroup) -> int:
-    """Minimal number of generators of an abelian group."""
-    return len(abelian_invariants(group))
-
-
 # --- bound verification ------------------------------------------------------
 
 

@@ -149,10 +149,6 @@ class DominantWeight:
         coords = tuple(int(p) for p in body.split(",")) if body else ()
         return cls(coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __str__(self):
         return "[" + ",".join(map(str, self.coords)) + "]"
 
@@ -382,11 +378,3 @@ def central_character(simple_type: SimpleType, weight: DominantWeight) -> Centra
     """Action of the center on the irreducible representation of the weight."""
     rs = build_root_system(simple_type)
     return CentralCharacter(rs.center, rs.character_values(weight))
-
-
-def irrep_kernel_on_center(simple_type: SimpleType, weight: DominantWeight) -> CenterSubgroup:
-    """Central kernel of a nontrivial irreducible representation."""
-    if weight.is_zero:
-        raise ValueError("the trivial representation has the whole center as kernel; "
-                         "a nonzero weight is required")
-    return central_character(simple_type, weight).kernel()

@@ -140,12 +140,16 @@ def test_compare_adjacent_big_values_is_exact():
 
 
 def test_compare_separates_values_within_one_ulp_of_log10(monkeypatch):
-    def no_mpmath(self, dps):
-        raise AssertionError("mpmath escalation")
+    log2_bounds = boundvalue._log2_bounds
+
+    def no_escalation(base, prec):
+        if prec > boundvalue._LOG_PREC:
+            raise AssertionError("precision escalation")
+        return log2_bounds(base, prec)
 
     # past the digit cap, and their log10 enclosures round to the same floats;
-    # the integer log2 enclosures part them without escalating
-    monkeypatch.setattr(BoundValue, "_log10_ends", no_mpmath)
+    # the 128-bit integer log2 enclosures part them without escalating
+    monkeypatch.setattr(boundvalue, "_log2_bounds", no_escalation)
     a = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 39, 1)])
     b = BoundValue([(2, 4 * 10 ** 6), (10 ** 12 + 61, 1)])
     assert a.log10_interval() == b.log10_interval()
@@ -169,11 +173,34 @@ def test_compare_by_bit_lengths_takes_no_logarithm(monkeypatch):
         raise AssertionError("logarithm taken")
 
     monkeypatch.setattr(boundvalue, "_log2_bounds", no_log)
-    monkeypatch.setattr(BoundValue, "_log10_ends", no_log)
     bound = BoundValue([(256, 3840), (74814184347878, 1)])
     assert BoundValue.from_int(20).compare(bound) == -1
     assert bound.compare(BoundValue.from_int(20)) == 1
     assert BoundValue.from_int(1000).compare(BoundValue.from_int(2 ** 64)) == -1
+
+
+# 3^q against 2^p for a continued-fraction convergent p/q of log2(3): both
+# past the digit cap, 3^q / 2^p within about 1e-39 of 1, so the enclosures
+# overlap at 128 and 256 bits and part at 512
+_CONVERGENT_P = 1652732724689252413744725775301698846303
+_CONVERGENT_Q = 1042758250707673434220052163136628837601
+
+
+def test_compare_escalates_precision_on_a_convergent_of_log2_3():
+    three = BoundValue([(3, _CONVERGENT_Q)])
+    two = BoundValue([(2, _CONVERGENT_P)])
+    assert three.compare(two) == -1
+    assert two.compare(three) == 1
+
+
+def test_compare_past_the_precision_cap_raises(monkeypatch):
+    monkeypatch.setattr(boundvalue, "_LOG_PREC_MAX", 256)
+    three = BoundValue([(3, _CONVERGENT_Q)])
+    two = BoundValue([(2, _CONVERGENT_P)])
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        three.compare(two)
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        two.compare(three)
 
 
 @st.composite
@@ -188,13 +215,13 @@ def log_bases(draw):
     return max(2, base ** draw(st.integers(1, 400)) + draw(st.sampled_from([0, 0, -1, 1])))
 
 
-def _iv_sum(terms):
-    """Exact ends (as Fractions) of an mpmath interval at 60 digits enclosing
+def _iv_sum(terms, dps=60):
+    """Exact ends (as Fractions) of an mpmath interval at dps digits enclosing
     sum(coef * log(b) / log(base)) over (coef, b, base) terms."""
     iv = mpmath.iv
     old = iv.dps
     try:
-        iv.dps = 60
+        iv.dps = dps
         total = iv.mpf(0)
         for coef, b, base in terms:
             total += iv.mpf(coef) * iv.log(iv.mpf(b)) / iv.log(iv.mpf(base))
@@ -216,14 +243,15 @@ def test_log10_interval_is_a_certified_two_ulp_enclosure(factors):
 
 
 @settings(max_examples=200, deadline=None)
-@given(log_bases())
-def test_log2_bounds_enclose_the_scaled_logarithm(base):
-    lo, hi = boundvalue._log2_bounds(base)
-    true_lo, true_hi = _iv_sum([(2 ** boundvalue._LOG_PREC, base, 2)])
+@given(log_bases(), st.sampled_from([128, 256, 512, 1024]))
+def test_log2_bounds_enclose_the_scaled_logarithm(base, prec):
+    lo, hi = boundvalue._log2_bounds(base, prec)
+    # 2^1024 * log2(2^4000) < 10^313, so 400 digits resolve far below a unit
+    true_lo, true_hi = _iv_sum([(2 ** prec, base, 2)], dps=400)
     assert lo <= true_hi and true_lo <= hi
     assert hi - lo <= 2
     if base & (base - 1) == 0:
-        assert lo == hi == (base.bit_length() - 1) << boundvalue._LOG_PREC
+        assert lo == hi == (base.bit_length() - 1) << prec
 
 
 def test_log10_interval_encloses_truth():

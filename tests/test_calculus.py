@@ -325,7 +325,6 @@ def test_triples_with_an_infinite_order_bound_need_no_logarithm(monkeypatch):
         raise AssertionError("certified logarithm evaluated")
 
     monkeypatch.setattr(boundvalue, "_log2_bounds", no_log)
-    monkeypatch.setattr(BoundValue, "_log10_ends", no_log)
     gl64, _ = leaf_with_trace("gl_field", 64)
     assert gl64.bd is None
     out, _ = combine_product(gl64, gl64)

@@ -51,14 +51,14 @@ _LEAF_PINS = {
              "dea19d209eee014febab0812b523378c6bd86f7f738b0391fed5decfd801ac94",
              "c44f80332064b574c82bb571519732d5c06c629abfbe5ce7e0de3b72701bb276"),
     "connected": (0, "unexpected character '-' (at position 10)",
-                  "41bd8c23557cfc9025eabbed5af58c2521db826cffd1deb5fa823f823de05343",
-                  "1f2c0cb9a1aeb7768b0f5224ab577074807bfa8e0ed1b3425ccf73af9378f794"),
+                  "914288de34f03d708baa4797d956a40caac88a1c01b5dd1b4083c08fcb4bba5f",
+                  "784b38c40e2abe887108b13235daf8386ff18aca726563f3e04d1b403e45667a"),
     "aut0": (1, "aut0 needs a positive variety dimension (at position 5)",
-             "09ad2a45ba28e63905aa963e42d727d2689d67898ceec36a5f9e54846827641d",
-             "36fe87c2ae2c31fd1331c72a44002c3a64a357f2dd2c558fe87d94c59de27e94"),
+             "8cc62f431e3f69b4b3748fb255ac29a519e4a4408a59c3beb68eae1d27e5506a",
+             "1533a9eda6e16afd29d3457cf73688386b9c89321c79a41c277b05ee7f22dfdb"),
     "bir_connected": (1, "bir_connected needs a positive variety dimension (at position 14)",
-                      "09ad2a45ba28e63905aa963e42d727d2689d67898ceec36a5f9e54846827641d",
-                      "36fe87c2ae2c31fd1331c72a44002c3a64a357f2dd2c558fe87d94c59de27e94"),
+                      "8cc62f431e3f69b4b3748fb255ac29a519e4a4408a59c3beb68eae1d27e5506a",
+                      "1533a9eda6e16afd29d3457cf73688386b9c89321c79a41c277b05ee7f22dfdb"),
 }
 
 

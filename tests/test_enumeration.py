@@ -3,13 +3,11 @@ import math
 import pytest
 
 from jordanbounds import abelian, enumeration
-from jordanbounds.abelian import FiniteAbelianGroup
 from jordanbounds.caps import Caps, CapExceeded, DEFAULT_CAPS
 from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
-                                      embedding_dim, enumerate_central_subgroups,
-                                      enumerate_semisimple, isogeny_classes,
-                                      max_center_order, min_faithful_dim,
-                                      quotient_center)
+                                      embedding_dim, enumerate_semisimple,
+                                      isogeny_classes, max_center_order,
+                                      min_faithful_dim, quotient_center)
 from jordanbounds.rootsystems import SimpleType, build_root_system
 
 from oracles import exhaustive_min_faithful, reference_min_faithful, reference_summand_pool
@@ -50,22 +48,16 @@ def test_center_order_cap_names_the_moduli():
     caps = Caps(center_order=4)
     a1_cubed = SemisimpleType((A1, A1, A1))
     for call in (lambda: isogeny_classes(a1_cubed, caps),
-                 lambda: enumerate_central_subgroups(FiniteAbelianGroup((2, 2, 2)), caps),
+                 lambda: abelian.all_subgroups((2, 2, 2), caps),
                  lambda: embedding_dim(9, caps)):
         with pytest.raises(CapExceeded) as err:
             call()
         assert err.value.module == "abelian"
         assert "(2, 2, 2)" in err.value.what
         assert err.value.observed == 8
-
-
-def test_enumerate_central_subgroups_counts():
-    assert len(enumerate_central_subgroups(FiniteAbelianGroup((2,)))) == 2
-    assert len(enumerate_central_subgroups(FiniteAbelianGroup((4,)))) == 3
-    assert len(enumerate_central_subgroups(FiniteAbelianGroup((2, 2)))) == 5
-    assert len(enumerate_central_subgroups(FiniteAbelianGroup((6,)))) == 4
+    # the default cap: order 8192 is past 4096
     with pytest.raises(CapExceeded):
-        enumerate_central_subgroups(FiniteAbelianGroup((2, 4096)))
+        abelian.all_subgroups((2, 4096))
 
 
 def test_isogeny_class_validation():
@@ -196,10 +188,11 @@ def test_embedding_dim_monotone():
 
 
 def test_max_center_order():
-    assert max_center_order(2) == 1
-    assert max_center_order(3) == 2
-    assert max_center_order(8) == 4
-    for n in range(1, 13):
+    # a simple factor of dimension d has center order at most 2^floor(d/3)
+    # (A1: 2 at d = 3), and the floors of a product add up to floor(n/3)
+    # at most; (A1)^k attains it
+    for n in range(41):
+        assert max_center_order(n) == 2 ** (n // 3), n
         assert max_center_order(n) <= n ** n
 
 

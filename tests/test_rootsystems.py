@@ -5,8 +5,7 @@ import pytest
 from jordanbounds.abelian import FiniteAbelianGroup
 from jordanbounds.rootsystems import (DominantWeight, SimpleType,
                                       admissible_types, build_root_system,
-                                      catalog_entry, central_character,
-                                      irrep_kernel_on_center, weyl_dim)
+                                      catalog_entry, central_character, weyl_dim)
 
 A1 = SimpleType("A", 1)
 w = DominantWeight
@@ -119,13 +118,12 @@ def test_central_characters_a1():
 
 
 def test_irrep_kernels():
-    k = irrep_kernel_on_center(SimpleType.parse("A3"), w((0, 1, 0)))
+    k = central_character(SimpleType.parse("A3"), w((0, 1, 0))).kernel()
     assert k.order == 2 and k.as_group().factors == (2,)
-    assert irrep_kernel_on_center(A1, w((1,))).is_trivial
-    assert irrep_kernel_on_center(SimpleType.parse("B2"), w((0, 1))).is_trivial
-    assert irrep_kernel_on_center(A1, w((2,))).order == 2  # adjoint kills the center
-    with pytest.raises(ValueError):
-        irrep_kernel_on_center(A1, w((0,)))
+    assert central_character(A1, w((1,))).kernel().is_trivial
+    assert central_character(SimpleType.parse("B2"), w((0, 1))).kernel().is_trivial
+    # adjoint kills the center
+    assert central_character(A1, w((2,))).kernel().order == 2
 
 
 def test_character_pairing_injective_rank8():
