@@ -16,7 +16,7 @@ import importlib
 
 # exported name -> defining submodule
 _SUBMODULE = {name: module for module, names in (
-    ("abelian", "CenterSubgroup FiniteAbelianGroup"),
+    ("abelian", "FiniteAbelianGroup"),
     ("boundvalue", "BoundValue"),
     ("calculus", "BoundTriple DerivationTrace aut0_jordan_bound aut0_rank_bound "
                  "aut0_triple combine_extension combine_product "

@@ -240,10 +240,6 @@ def invariants_from_orders(orders: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def subgroup_invariants(elems: FrozenSet[Element], moduli: Moduli) -> Tuple[int, ...]:
-    return invariants_from_orders([element_order(e, moduli) for e in elems])
-
-
 def quotient_invariants(moduli: Moduli, sub: FrozenSet[Element]) -> Tuple[int, ...]:
     """Invariant factors of (product of Z_m) / sub."""
     full = order_of_moduli(moduli)
@@ -283,33 +279,8 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "FiniteAbelianGroup":
-        """Canonicalise an arbitrary product of cyclic groups (via CRT)."""
-        per_prime: Dict[int, List[int]] = {}
-        for m in moduli:
-            m = int(m)
-            d = 2
-            while d * d <= m:
-                if m % d == 0:
-                    e = 0
-                    while m % d == 0:
-                        m //= d
-                        e += 1
-                    per_prime.setdefault(d, []).append(e)
-                d += 1
-            if m > 1:
-                per_prime.setdefault(m, []).append(1)
-        if not per_prime:
-            return cls(())
-        width = max(len(v) for v in per_prime.values())
-        factors = []
-        for i in range(width):
-            d = 1
-            for p, exps in per_prime.items():
-                exps = sorted(exps, reverse=True)
-                if i < len(exps):
-                    d *= p ** exps[i]
-            factors.append(d)
-        return cls(tuple(sorted(factors)))
+        """Canonicalise an arbitrary product of cyclic groups."""
+        return cls(quotient_invariants(moduli, frozenset([zero_of(moduli)])))
 
     @property
     def order(self) -> int:
@@ -327,13 +298,6 @@ class FiniteAbelianGroup:
     def elements(self) -> Iterator[Element]:
         return elements_of(self.factors)
 
-    def add(self, a: Element, b: Element) -> Element:
-        return add_mod(a, b, self.factors)
-
-    @property
-    def zero(self) -> Element:
-        return zero_of(self.factors)
-
     def element_order(self, a: Element) -> int:
         return element_order(a, self.factors)
 
@@ -341,34 +305,3 @@ class FiniteAbelianGroup:
         if not self.factors:
             return "1"
         return "x".join(f"Z{d}" for d in self.factors)
-
-
-@dataclass(frozen=True)
-class CenterSubgroup:
-    """A subgroup of a coordinate abelian group, kept with its element set."""
-
-    moduli: Moduli
-    elements: FrozenSet[Element]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def generators(self) -> Tuple[Element, ...]:
-        return minimal_generators(self.elements, self.moduli)
-
-    def as_group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(subgroup_invariants(self.elements, self.moduli))
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
-    def __contains__(self, element: Element) -> bool:
-        return element in self.elements
-
-    def __str__(self):
-        if self.is_trivial:
-            return "1"
-        return "<" + ", ".join("(" + ",".join(map(str, g)) + ")" for g in self.generators) + ">"

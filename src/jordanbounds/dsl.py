@@ -13,7 +13,9 @@ bir_connected(n).
 Every leaf but semisimple parses to Leaf(name, arg), one row of _LEAVES.
 The extension node takes (normal subgroup, quotient), mirroring the
 sequence 1 -> G1 -> G -> G2 -> 1.  Files may carry '#' line comments
-around a single expression.
+around a single expression, which nests at most MAX_DEPTH levels deep.
+The semisimple leaf keeps its isogeny for printing; its bound reads only
+the total dimension.
 """
 
 from __future__ import annotations
@@ -24,8 +26,14 @@ from typing import List, Tuple, Union
 from . import calculus
 from .calculus import BoundTriple, DerivationTrace
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .enumeration import IsogenyClass, SemisimpleType
+from .enumeration import SemisimpleType
 from .rootsystems import SimpleType
+
+
+# deepest nesting that parse accepts, a leaf counting one level: CPython's own
+# limit on nested parentheses, well inside the recursion limit for the parser,
+# the evaluator and print_expr
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -160,16 +168,20 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return expr
 
-    def expr(self) -> GroupExpr:
+    def expr(self, depth: int = 1) -> GroupExpr:
+        if depth > MAX_DEPTH:
+            tok = self._peek()
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             tok.pos if tok else self.length)
         head = self._next("name")
         self._next("punct", "(")
         if head.text == "product":
-            children = [self.expr()]
+            children = [self.expr(depth + 1)]
             while True:
                 tok = self._peek()
                 if tok and tok.text == ",":
                     self._next()
-                    children.append(self.expr())
+                    children.append(self.expr(depth + 1))
                 else:
                     break
             self._next("punct", ")")
@@ -177,9 +189,9 @@ class _Parser:
                 raise ParseError("product needs at least two children", head.pos)
             return Product(tuple(children))
         if head.text == "extension":
-            normal = self.expr()
+            normal = self.expr(depth + 1)
             self._next("punct", ",")
-            quotient = self.expr()
+            quotient = self.expr(depth + 1)
             self._next("punct", ")")
             return Extension(normal, quotient)
         if head.text == "semisimple":
@@ -252,16 +264,6 @@ def print_expr(expr: GroupExpr) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def _semisimple_class(node: Semisimple) -> IsogenyClass:
-    base = SemisimpleType(node.types)
-    if node.isogeny == "sc":
-        return IsogenyClass.from_generators(base, [])
-    moduli = base.center_moduli
-    gens = [tuple(1 if i == j else 0 for i in range(len(moduli)))
-            for j in range(len(moduli))]
-    return IsogenyClass.from_generators(base, gens)
-
-
 def evaluate(expr: GroupExpr, caps: Caps = DEFAULT_CAPS
              ) -> Tuple[BoundTriple, DerivationTrace]:
     """Bottom-up fold of an expression into a bound triple plus its trace.
@@ -277,7 +279,7 @@ def _evaluate(expr: GroupExpr, caps: Caps, path: str
         if isinstance(expr, Leaf):
             return _LEAVES[expr.name][0](expr.arg, caps)
         if isinstance(expr, Semisimple):
-            return calculus.leaf_with_trace("semisimple", _semisimple_class(expr).dim, caps)
+            return calculus.leaf_with_trace("semisimple", SemisimpleType(expr.types).dim, caps)
     except CapExceeded as exc:
         raise CapExceeded(f"{exc.what} at node {path} ({print_expr(expr)})",
                           exc.limit, exc.observed, exc.module) from None

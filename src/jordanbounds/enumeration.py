@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from . import abelian
-from .abelian import CenterSubgroup, FiniteAbelianGroup
+from .abelian import FiniteAbelianGroup
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .rootsystems import SimpleType, admissible_types, build_root_system
 
@@ -98,9 +98,9 @@ class IsogenyClass:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
-    def kernel_subgroup(self) -> CenterSubgroup:
-        return CenterSubgroup(self.base.center_moduli, self.kernel)
+    @functools.cached_property
+    def kernel_generators(self) -> Tuple[Element, ...]:
+        return abelian.minimal_generators(self.kernel, self.base.center_moduli)
 
     @property
     def is_simply_connected(self) -> bool:
@@ -116,8 +116,8 @@ class IsogenyClass:
             return base
         if self.is_adjoint:
             return f"{base}/adj"
-        gens = self.kernel_subgroup.generators
-        return base + "/" + "+".join("(" + ",".join(map(str, g)) + ")" for g in gens)
+        return base + "/" + "+".join("(" + ",".join(map(str, g)) + ")"
+                                     for g in self.kernel_generators)
 
     def __str__(self):
         return self.name()
@@ -315,13 +315,14 @@ def class_table(n: int, caps: Caps = DEFAULT_CAPS) -> List[dict]:
     """Rows for the JSON export: one per isogeny class of dimension <= n."""
     rows = []
     for base in enumerate_semisimple(n, caps):
+        center = [str(d) for d in base.center.factors]
         for cls in isogeny_classes(base, caps):
             rows.append({
                 "name": cls.name(),
                 "factors": [str(f) for f in base.factors],
                 "dim": base.dim,
-                "center": [str(d) for d in base.center.factors],
-                "kernel_generators": [list(g) for g in cls.kernel_subgroup.generators],
+                "center": list(center),
+                "kernel_generators": [list(g) for g in cls.kernel_generators],
                 "kernel_order": str(len(cls.kernel)),
                 "quotient_center": [str(d) for d in quotient_center(cls).factors],
                 "min_faithful_dim": str(min_faithful_dim(cls, caps)),

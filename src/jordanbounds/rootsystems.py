@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
 
-from .abelian import CenterSubgroup, FiniteAbelianGroup
+from .abelian import FiniteAbelianGroup
 from .caps import CapExceeded
 from .smith import smith_normal_form
 
@@ -96,17 +96,12 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-class CatalogEntry(Tuple[int, int, FiniteAbelianGroup]):
+class CatalogEntry(NamedTuple):
     """(dim, rank, center) row of the classification table."""
 
-    __slots__ = ()
-
-    def __new__(cls, dim: int, rank: int, center: FiniteAbelianGroup):
-        return super().__new__(cls, (dim, rank, center))
-
-    dim = property(lambda self: self[0])
-    rank = property(lambda self: self[1])
-    center = property(lambda self: self[2])
+    dim: int
+    rank: int
+    center: FiniteAbelianGroup
 
 
 def catalog_entry(simple_type: SimpleType) -> CatalogEntry:
@@ -369,9 +364,8 @@ class CentralCharacter:
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def kernel(self) -> CenterSubgroup:
-        elems = frozenset(z for z in self.center.elements() if self(z) == 0)
-        return CenterSubgroup(self.center.factors, elems)
+    def kernel(self) -> FrozenSet[Tuple[int, ...]]:
+        return frozenset(z for z in self.center.elements() if self(z) == 0)
 
 
 def central_character(simple_type: SimpleType, weight: DominantWeight) -> CentralCharacter:

@@ -9,6 +9,7 @@ from jordanbounds import dsl
 from jordanbounds.boundvalue import BoundValue, ONE as BV_ONE
 from jordanbounds.calculus import BoundTriple
 from jordanbounds.caps import CapExceeded, Caps
+from jordanbounds.cli import main
 from jordanbounds.dsl import (Extension, Leaf, ParseError, Product, Semisimple,
                               evaluate, parse, parse_file_text, print_expr)
 from jordanbounds.rootsystems import SimpleType
@@ -115,6 +116,34 @@ def test_parse_errors_carry_positions():
             parse(text)
         assert fragment in str(err.value), text
         assert "position" in str(err.value)
+
+
+def _chain(kind: str, depth: int) -> str:
+    """`depth` nested calls, the innermost leaf included."""
+    leaf = {"extension": "unipotent(1)", "product": "torus(1)"}[kind]
+    return f"{kind}({leaf}, " * (depth - 1) + leaf + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("kind", ["extension", "product"])
+def test_deepest_nesting_parses_evaluates_prints_and_replays(kind):
+    e = parse(_chain(kind, dsl.MAX_DEPTH))
+    assert parse(print_expr(e)) == e
+    triple, trace = evaluate(e)
+    assert trace.replay() == triple
+
+
+@pytest.mark.parametrize("kind", ["extension", "product"])
+def test_nesting_past_the_limit_is_an_error_line(capsys, kind):
+    assert dsl.MAX_DEPTH == 200
+    for argv in (["bound", "dsl"], ["--json", "--trace", "bound", "dsl"]):
+        assert main([*argv, "--expr", _chain(kind, 200)]) == 0
+        assert capsys.readouterr().err == ""
+    for depth in (201, 1000):
+        assert main(["bound", "dsl", "--expr", _chain(kind, depth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: expression nested deeper than 200 levels")
+        assert "Traceback" not in err
 
 
 def test_print_round_trip_examples():
