@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 
@@ -63,18 +63,23 @@ def subgroup_closure(gens: Iterable[Element], moduli: Moduli) -> FrozenSet[Eleme
     elems = [zero]
     have = {zero}
     for g in gens:
-        if g in have:
-            continue
-        coset = elems
-        grown = []
-        while True:
-            coset = [add_mod(x, g, moduli) for x in coset]
-            if coset[0] in have:  # coset[0] = k*g, since elems[0] is zero
-                break
-            grown.extend(coset)
-        elems.extend(grown)
-        have.update(grown)
+        if g not in have:
+            _adjoin(elems, have, g, moduli)
     return frozenset(have)
+
+
+def _adjoin(elems: List[Element], have: Set[Element], g: Element, moduli: Moduli) -> None:
+    """Grow the subgroup `elems` (zero first, the same elements in `have`)
+    to <elems, g> in place, one coset elems + k*g at a time."""
+    coset = elems
+    grown = []
+    while True:
+        coset = [add_mod(x, g, moduli) for x in coset]
+        if coset[0] in have:  # coset[0] = k*g, since elems[0] is zero
+            break
+        grown.extend(coset)
+    elems.extend(grown)
+    have.update(grown)
 
 
 def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[Element]]:
@@ -82,23 +87,15 @@ def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[E
     return _all_subgroups(moduli, caps)
 
 
-def _translation(z: Element, moduli: Moduli) -> List[Tuple[int, int, int]]:
-    """Nonzero digits (weight, modulus, digit) of z in the mixed-radix code
-    whose weights are w_i = prod(moduli[i+1:])."""
-    steps = []
-    w = order_of_moduli(moduli)
-    for v, m in zip(z, moduli):
-        w //= m
-        if v:
-            steps.append((w, m, v))
-    return steps
-
-
-def _translate(xs: List[int], steps: List[Tuple[int, int, int]]) -> List[int]:
-    """Codes of x + z for every code x in xs, digit by digit, without carries."""
-    for w, m, v in steps:
-        xs = [x + (v if x // w % m + v < m else v - m) * w for x in xs]
-    return xs
+def _codes(mask: int) -> List[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,45 +104,97 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
     if order > caps.center_order:
         raise CapExceeded(f"center order on moduli {moduli}", caps.center_order,
                           observed=order, module="abelian")
-    # element i is the i-th tuple in lexicographic order, so sorting codes
-    # sorts tuples; subgroups are frozensets of codes until the end
-    elements = sorted(elements_of(moduli))
-    steps = [_translation(z, moduli) for z in elements]
-    # work guard: each closure <sub, z> is charged the walk's nominal cost,
-    # that of a fixpoint closure from len(sub) + 1 generators, so that caps
-    # trip where they always have although the closures below are cheaper;
-    # lattices that explode must fail fast rather than grind to the count cap
+    # element i is the i-th tuple in lexicographic order (digit j has weight
+    # prod(moduli[j+1:])), and a set of elements is an int with those bits
+    full = (1 << order) - 1
+    # moves[j][v] translates a mask by v in digit j: codes whose digit j is
+    # below m - v move up by v*w, the rest wrap down by (m - v)*w; the low
+    # mask is one block pattern per period m*w, repeated by a repunit
+    moves = []
+    w = order
+    for m in moduli:
+        w //= m
+        repunit = full // ((1 << m * w) - 1)
+        row = [None]
+        for v in range(1, m):
+            low = ((1 << (m - v) * w) - 1) * repunit
+            row.append((w, m, v, low, full ^ low, v * w, (m - v) * w))
+        moves.append(row)
+    # the translation by z, one move per nonzero digit, for every code z
+    steps = [[mv for mv in digits if mv] for digits in itertools.product(*moves)]
+
+    def shift(mask: int, step: list) -> int:
+        for _, _, _, low, high, up, down in step:
+            mask = (mask & low) << up | (mask & high) >> down
+        return mask
+
+    def close(sub: int, size: int, z: int) -> Tuple[int, int, int]:
+        """(sub + z, <sub, z>, the guard's charge for each element of sub + z)."""
+        step = steps[z]
+        coset = shift(sub, step)
+        # the multiples of z below its order k modulo sub
+        digits = [move[:3] for move in step]
+        multiples = [0]
+        kz = z
+        while not sub >> kz & 1:
+            multiples.append(kz)
+            for w, m, v in digits:
+                kz += (v if kz // w % m + v < m else v - m) * w
+        k = len(multiples)
+        # <sub, z> = sub + multiples; translate whichever side is shorter
+        if k - 1 <= size:
+            bigger = sub | coset
+            kcoset = coset
+            for _ in range(k - 2):
+                kcoset = shift(kcoset, step)
+                bigger |= kcoset
+        else:
+            bitmap = bytearray(order // 8 + 1)
+            for x in multiples:
+                bitmap[x >> 3] |= 1 << (x & 7)
+            bigger = span = int.from_bytes(bitmap, "little")
+            for x in _codes(sub)[1:]:
+                bigger |= shift(span, steps[x])
+        # nominal cost: a fixpoint closure from size + 1 generators
+        return coset, bigger, k * size * (size + 1)
+
+    def replay(sub: int, size: int) -> Iterator[Tuple[int, int]]:
+        """(<sub, z>, charge) for each z outside sub, in code order."""
+        owner: Dict[int, Tuple[int, int]] = {}
+        for z in range(order):
+            if not sub >> z & 1:
+                if z not in owner:
+                    coset, bigger, charge = close(sub, size, z)
+                    owner.update(dict.fromkeys(_codes(coset), (bigger, charge)))
+                yield owner[z]
+
+    # work guard: each z outside sub is charged the nominal cost of <sub, z>,
+    # so that caps trip where they always have although the closures here
+    # are cheaper; lattices that explode must fail fast rather than grind to
+    # the count cap
     work_budget = 512 * caps.subgroup_count
     work = 0
-    subs = {frozenset([0])}
-    frontier = list(subs)
+    subs = {1}
+    frontier = [1]
     while frontier:
         new = []
         for sub in frontier:
-            members = list(sub)
-            for z in range(order):
-                if z in sub:
-                    continue
-                # <sub, z> is the union of the cosets sub + k*z for k below
-                # the order of z modulo sub; translate whichever side is shorter
-                step = steps[z]
-                multiples = [0]
-                kz = z
-                while kz not in sub:
-                    multiples.append(kz)
-                    for w, m, v in step:
-                        kz += (v if kz // w % m + v < m else v - m) * w
-                if len(multiples) <= len(members):
-                    grown = members[:]
-                    for y in multiples[1:]:
-                        grown += _translate(members, steps[y])
-                else:
-                    grown = multiples[:]
-                    for x in members:
-                        if x:
-                            grown += _translate(multiples, steps[x])
-                bigger = frozenset(grown)
-                work += len(bigger) * (len(sub) + 1)
+            size = sub.bit_count()
+            # every z in a coset sub + z gives the same <sub, z> and charge,
+            # so close once per coset, at its lowest element: that is where
+            # a walk over z in code order first meets it
+            cosets = []
+            upper = work
+            rest = full ^ sub
+            while rest and upper <= work_budget:
+                coset, bigger, charge = close(sub, size, (rest & -rest).bit_length() - 1)
+                cosets.append((bigger, charge * size))
+                upper += charge * size
+                rest ^= coset
+            # only the subgroup where the guard trips is walked one z at a
+            # time, so it trips at the same z with the same count
+            for bigger, charge in (cosets if upper <= work_budget else replay(sub, size)):
+                work += charge
                 if work > work_budget:
                     raise CapExceeded(f"subgroup enumeration work on moduli {moduli}",
                                       work_budget, observed=len(subs), module="abelian")
@@ -157,19 +206,25 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
                                           caps.subgroup_count, observed=len(subs),
                                           module="abelian")
         frontier = new
-    ordered = sorted((sorted(s) for s in subs), key=lambda s: (len(s), s))
+    elements = sorted(elements_of(moduli))
+    ordered = sorted(map(_codes, subs), key=lambda s: (len(s), s))
     return [frozenset(elements[i] for i in s) for s in ordered]
 
 
 def minimal_generators(elems: FrozenSet[Element], moduli: Moduli) -> Tuple[Element, ...]:
-    """Short generating tuple for a subgroup given as an element set."""
+    """Short generating tuple for a subgroup given as an element set.
+
+    Elements are taken by decreasing order, and each one not yet generated
+    grows the closure by its cosets."""
     gens: List[Element] = []
-    have: FrozenSet[Element] = frozenset([zero_of(moduli)])
+    zero = zero_of(moduli)
+    grown = [zero]
+    have = {zero}
     remaining = sorted(elems, key=lambda e: (-element_order(e, moduli), e))
     for e in remaining:
         if e not in have:
             gens.append(e)
-            have = subgroup_closure(gens, moduli)
+            _adjoin(grown, have, e, moduli)
             if len(have) == len(elems):
                 break
     return tuple(gens)

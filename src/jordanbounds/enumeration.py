@@ -86,8 +86,9 @@ class IsogenyClass:
         zero = abelian.zero_of(moduli)
         if zero not in self.kernel:
             raise ValueError("kernel must contain the identity")
-        closed = abelian.subgroup_closure(self.kernel, moduli)
-        if closed != self.kernel:
+        # elements of the kernel generate exactly the kernel only if it is
+        # a subgroup; the generators are the ones name() prints
+        if abelian.subgroup_closure(self.kernel_generators, moduli) != self.kernel:
             raise ValueError("kernel is not closed under the group law")
 
     @classmethod
@@ -197,15 +198,16 @@ def _faithful_dims(base: SemisimpleType, caps: Caps) -> Dict[int, int]:
     The center's subgroups are enumerated first, so the center caps trip
     before any search work.  Then Dijkstra over the finite set of states
     (factor-coverage mask, joint-kernel mask) from (0, whole center), one
-    summand per edge.  A multiset whose joint kernel is exactly K uses only
-    summands whose zero sets contain K, so the distance to (all factors, K)
-    is the minimal dimension for G/K.  Every K is reached: the adjoint plus
-    one irreducible per generator of the characters of Z/K is faithful.
+    summand per edge, over the pool without its dominated summands.  A
+    multiset whose joint kernel is exactly K uses only summands whose zero
+    sets contain K, so the distance to (all factors, K) is the minimal
+    dimension for G/K.  Every K is reached: the adjoint plus one irreducible
+    per generator of the characters of Z/K is faithful.
     """
     count = len(abelian.all_subgroups(base.center_moduli, caps))
     full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
     target = (1 << len(base.factors)) - 1
-    pool = _summand_pool(base)
+    pool = _undominated(_summand_pool(base), full)
     dist = {(0, full): 0}
     heap = [(0, 0, full)]
     while heap:
@@ -222,6 +224,46 @@ def _faithful_dims(base: SemisimpleType, caps: Caps) -> Dict[int, int]:
     if len(table) != count:
         raise AssertionError(f"{base}: {len(table)} kernels reached of {count} subgroups")
     return table
+
+
+def _undominated(pool: List[Tuple[int, int, int]], full: int) -> List[Tuple[int, int, int]]:
+    """The summand pool without its dominated entries, in pool order.
+
+    Let a_i be the dimension of factor i's entry (a_i, {i}, full), its
+    cheapest nonzero weight with trivial central character (the adjoint
+    has one, and for A1 it is the adjoint).  An entry (d, cov, Z) is dropped when another entry
+    (d1, c1, Z) with the same zero set has d1 + sum(a_i, i in cov - c1) <= d.
+
+    The table does not change.  From any state (C, K), the replacement
+    (d1, c1, Z) plus the a_i of cov - c1 reaches (C | c1 | cov, K & Z): the
+    same kernel as the dropped summand and at least its coverage, at no
+    higher cost, and a larger coverage only helps, since every later
+    summand acts on it the same way and the target is every factor.  Every
+    replacement item has a smaller (d, -|cov|): d1 < d, or d1 = d with
+    c1 strictly containing cov, and a_i <= d - d1 < d.  So replacing a
+    dropped item by items that may be dropped in turn ends, with items
+    that are kept, and every distance to a full-coverage state stays.
+    """
+    fill = {cov: d for d, cov, zero in pool if zero == full and cov & (cov - 1) == 0}
+
+    def cost(cov: int) -> int:
+        return sum(d for bit, d in fill.items() if cov & bit)
+
+    by_zero: Dict[int, List[Tuple[int, int]]] = {}
+    for d, cov, zero in pool:
+        by_zero.setdefault(zero, []).append((d, cov))
+    kept = []
+    for d, cov, zero in pool:
+        # entries of one zero set are in pool order, so by dimension
+        for d1, c1 in by_zero[zero]:
+            if d1 > d:
+                kept.append((d, cov, zero))
+                break
+            if c1 != cov and d1 + cost(cov & ~c1) <= d:
+                break
+        else:
+            kept.append((d, cov, zero))
+    return kept
 
 
 def _summand_pool(base: SemisimpleType) -> List[Tuple[int, int, int]]:
@@ -295,8 +337,17 @@ def embedding_dim(n: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _embedding_dim(n: int, caps: Caps) -> int:
-    return max(max(_faithful_dims(base, caps).values())
-               for base in enumerate_semisimple(n, caps) if not base.is_trivial)
+    forms = [base for base in enumerate_semisimple(n, caps) if not base.is_trivial]
+    _walk_centers(forms, caps)
+    return max(max(_faithful_dims(base, caps).values()) for base in forms)
+
+
+def _walk_centers(forms: List[SemisimpleType], caps: Caps) -> None:
+    """Enumerate every form's central subgroups (the walks are cached), so
+    that the center caps trip, at the first form that breaches them, before
+    any pool or root system is built."""
+    for base in forms:
+        abelian.all_subgroups(base.center_moduli, caps)
 
 
 def max_center_order(n: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -313,8 +364,10 @@ def max_center_order(n: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 def class_table(n: int, caps: Caps = DEFAULT_CAPS) -> List[dict]:
     """Rows for the JSON export: one per isogeny class of dimension <= n."""
+    forms = enumerate_semisimple(n, caps)
+    _walk_centers(forms, caps)
     rows = []
-    for base in enumerate_semisimple(n, caps):
+    for base in forms:
         center = [str(d) for d in base.center.factors]
         for cls in isogeny_classes(base, caps):
             rows.append({

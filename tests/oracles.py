@@ -5,6 +5,7 @@ over the pruned searches used by the package.
 """
 
 import functools
+import heapq
 import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -195,6 +196,28 @@ def reference_summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int,
 
     build(0, 1, (0,) * ncells, 0)
     return sorted((d, cov, zmask) for (cov, zmask), d in cheapest.items())
+
+
+def reference_faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]:
+    """Minimal faithful dimension per kernel mask of one form, by Dijkstra
+    over every summand of reference_summand_pool(base, budget), none of them
+    pruned.  Exact for each kernel whose value is at most the budget: a
+    multiset of that total holds no summand above it."""
+    full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
+    target = (1 << len(base.factors)) - 1
+    pool = reference_summand_pool(base, budget)
+    dist = {(0, full): 0}
+    heap = [(0, 0, full)]
+    while heap:
+        d, cov, ker = heapq.heappop(heap)
+        if dist[cov, ker] < d:
+            continue
+        for sd, scov, szero in pool:
+            state = (cov | scov, ker & szero)
+            if d + sd < dist.get(state, d + sd + 1):
+                dist[state] = d + sd
+                heapq.heappush(heap, (d + sd, *state))
+    return {ker: d for (cov, ker), d in dist.items() if cov == target}
 
 
 def _prune_dominated(summands: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:

@@ -137,3 +137,45 @@ def test_work_guard_trips_where_it_always_has(moduli, caps, limit, observed):
         abelian.all_subgroups(moduli, caps)
     assert err.value.what == f"subgroup enumeration work on moduli {moduli}"
     assert (err.value.limit, err.value.observed) == (limit, observed)
+
+
+# Where the walk stops under subgroup_count caps 5, 30, 100, 300, 1000 and
+# the default, recorded from the element-by-element walk (one closure per z
+# outside each subgroup, in code order): ("count", n) and ("work", n) are
+# breaches that had reached n subgroups, a bare n a finished walk.
+_GUARD_CAPS = (5, 30, 100, 300, 1000, None)
+_GUARD_GRID = {
+    (2,) * 4: [("count", 6), ("count", 31), 67, 67, 67, 67],
+    (2,) * 5: [("count", 6), ("count", 31), ("count", 101), ("count", 301), ("work", 373), 374],
+    (2,) * 6: [("count", 6), ("count", 31), ("count", 101), ("count", 301), ("count", 1001), 2825],
+    (2,) * 7: [("count", 6), ("count", 31), ("count", 101), ("count", 301), ("count", 1001),
+               ("work", 19441)],
+    (4, 4): [("count", 6), 15, 15, 15, 15, 15],
+    (2, 2, 4): [("count", 6), ("work", 27), 27, 27, 27, 27],
+    (6, 6): [("count", 6), ("work", 30), ("work", 30), ("work", 30), 30, 30],
+    (3, 3, 3): [("count", 6), ("work", 28), ("work", 28), 28, 28, 28],
+    (2, 2, 2, 4): [("count", 6), ("count", 31), ("count", 101), ("work", 116), 118, 118],
+    (4, 8): [("count", 6), ("work", 22), ("work", 22), 22, 22, 22],
+    (2, 3, 4): [("count", 6), ("work", 16), 16, 16, 16, 16],
+    (64, 64): [("count", 6), ("count", 31), ("count", 101), ("work", 183), ("work", 190),
+               ("work", 193)],
+    (4096,): [("work", 1), ("work", 3), ("work", 5), ("work", 6), ("work", 8), None],
+}
+
+
+@pytest.mark.parametrize("moduli", list(_GUARD_GRID), ids=str)
+def test_guards_trip_where_the_element_walk_tripped(moduli):
+    for cap, expected in zip(_GUARD_CAPS, _GUARD_GRID[moduli]):
+        if expected is None:
+            continue  # (4096,) under the default cap takes seconds
+        caps = Caps() if cap is None else Caps(subgroup_count=cap)
+        if isinstance(expected, int):
+            assert len(abelian.all_subgroups(moduli, caps)) == expected, cap
+            continue
+        with pytest.raises(CapExceeded) as err:
+            abelian.all_subgroups(moduli, caps)
+        kind, observed = expected
+        what = "subgroup count" if kind == "count" else "subgroup enumeration work"
+        limit = caps.subgroup_count * (1 if kind == "count" else 512)
+        assert err.value.what == f"{what} on moduli {moduli}", cap
+        assert (err.value.limit, err.value.observed) == (limit, observed), cap

@@ -10,7 +10,8 @@ from jordanbounds.enumeration import (IsogenyClass, SemisimpleType, class_table,
                                       min_faithful_dim, quotient_center)
 from jordanbounds.rootsystems import SimpleType, build_root_system
 
-from oracles import exhaustive_min_faithful, reference_min_faithful, reference_summand_pool
+from oracles import (exhaustive_min_faithful, reference_faithful_dims, reference_min_faithful,
+                     reference_summand_pool)
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -137,6 +138,26 @@ def test_summand_pool_matches_all_weights_reference():
         for budget in (2, 3, 5, 8, 16, 32, 64, 128):
             assert ([e for e in pool if e[0] <= budget]
                     == reference_summand_pool(base, budget)), (str(base), budget)
+
+
+def test_pruned_search_matches_unpruned_reference():
+    """Dropping dominated summands leaves every table as it was: one
+    unpruned Dijkstra per form, over every summand up to dimension 128
+    (twice the largest value), on all 24 forms of dimension <= 20."""
+    forms = [b for b in enumerate_semisimple(20) if not b.is_trivial]
+    assert len(forms) == 24 and SemisimpleType((A1,) * 6) in forms
+    for base in forms:
+        table = enumeration._faithful_dims(base, DEFAULT_CAPS)
+        assert max(table.values()) <= 64
+        assert table == reference_faithful_dims(base, 128), str(base)
+
+
+@pytest.mark.parametrize("k,before,after", [(5, 242, 36), (6, 728, 69)])
+def test_pruning_shrinks_the_sl2_power_pools(k, before, after):
+    base = SemisimpleType((A1,) * k)
+    pool = enumeration._summand_pool(base)
+    assert len(pool) == before
+    assert len(enumeration._undominated(pool, (1 << 2 ** k) - 1)) == after
 
 
 def test_faithful_table_has_one_key_per_subgroup_within_the_generator_bound():
