@@ -211,6 +211,8 @@ PINNED_STDOUT_SHA256 = [
      "61ed5e84fd243cbc6532975f881c21b404e48c587c2afb3b0351aeb5f793bb7f"),
     (["--json", "enumerate", "--dim", "17"],
      "a9e22d70128481ac98fec202f522c5b6c20afc1d76cbb97b6d48e1c04a60013c"),
+    (["--json", "enumerate", "--dim", "18"],
+     "165617d94277f66f68d2a77ea6dc0df8a45209eeb8c4a5b05bc5566d53ddc098"),
     (["--json", "catalog", "--max-rank", "12"],
      "e23f8c75596e10e695049a0bb88cb12d039bbf7c177556d9534833bed73080c2"),
 ]
