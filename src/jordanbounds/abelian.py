@@ -1,90 +1,28 @@
-"""Finite abelian groups in invariant-factor form, and coordinate machinery.
+"""Finite abelian groups in invariant-factor form, and their subgroups.
 
-Two layers.  `FiniteAbelianGroup` is the canonical presentation
-Z_{d1} x ... x Z_{dk} with d1 | d2 | ... | dk, all > 1.  Underneath,
-module-level functions operate on an arbitrary tuple of moduli (one per
-coordinate, not necessarily a divisor chain), which is the natural shape
-for the center of a product of simple factors: each factor contributes its
-own coordinate block.
+`FiniteAbelianGroup` is the canonical presentation Z_{d1} x ... x Z_{dk}
+with d1 | d2 | ... | dk, all > 1.  Underneath, module-level functions work
+on an arbitrary tuple of moduli (one per coordinate, not necessarily a
+divisor chain), which is the natural shape for the center of a product of
+simple factors: each factor contributes its own coordinate block.
+
+An element is coded by its position in lexicographic order (digit j has
+weight prod(moduli[j+1:])), and a subgroup is an int mask whose bit i is
+the element of code i.  Element tuples appear only as generators:
+`subgroup_closure` takes them and `minimal_generators` returns them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 
 Element = Tuple[int, ...]
 Moduli = Tuple[int, ...]
-
-
-# --- coordinate-level helpers -------------------------------------------
-
-
-def zero_of(moduli: Moduli) -> Element:
-    return tuple(0 for _ in moduli)
-
-
-def order_of_moduli(moduli: Moduli) -> int:
-    out = 1
-    for m in moduli:
-        out *= m
-    return out
-
-
-def elements_of(moduli: Moduli) -> Iterator[Element]:
-    return itertools.product(*[range(m) for m in moduli])
-
-
-def add_mod(a: Element, b: Element, moduli: Moduli) -> Element:
-    return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-
-def element_order(a: Element, moduli: Moduli) -> int:
-    out = 1
-    for x, m in zip(a, moduli):
-        if x:
-            out = math.lcm(out, m // math.gcd(x, m))
-    return out
-
-
-def subgroup_closure(gens: Iterable[Element], moduli: Moduli) -> FrozenSet[Element]:
-    """The subgroup generated by `gens`, one generator at a time.
-
-    <H, g> is the union of the cosets H + k*g for k from 0 below the least
-    k >= 1 with k*g in H, so each element of the result costs about one
-    addition.
-    """
-    zero = zero_of(moduli)
-    elems = [zero]
-    have = {zero}
-    for g in gens:
-        if g not in have:
-            _adjoin(elems, have, g, moduli)
-    return frozenset(have)
-
-
-def _adjoin(elems: List[Element], have: Set[Element], g: Element, moduli: Moduli) -> None:
-    """Grow the subgroup `elems` (zero first, the same elements in `have`)
-    to <elems, g> in place, one coset elems + k*g at a time."""
-    coset = elems
-    grown = []
-    while True:
-        coset = [add_mod(x, g, moduli) for x in coset]
-        if coset[0] in have:  # coset[0] = k*g, since elems[0] is zero
-            break
-        grown.extend(coset)
-    elems.extend(grown)
-    have.update(grown)
-
-
-def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[FrozenSet[Element]]:
-    """Every subgroup, as an element set, in a deterministic order."""
-    return _all_subgroups(moduli, caps)
 
 
 def _codes(mask: int) -> List[int]:
@@ -98,73 +36,122 @@ def _codes(mask: int) -> List[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
-    order = order_of_moduli(moduli)
-    if order > caps.center_order:
-        raise CapExceeded(f"center order on moduli {moduli}", caps.center_order,
-                          observed=order, module="abelian")
-    # element i is the i-th tuple in lexicographic order (digit j has weight
-    # prod(moduli[j+1:])), and a set of elements is an int with those bits
-    full = (1 << order) - 1
-    # moves[j][v] translates a mask by v in digit j: codes whose digit j is
-    # below m - v move up by v*w, the rest wrap down by (m - v)*w; the low
-    # mask is one block pattern per period m*w, repeated by a repunit
-    moves = []
-    w = order
-    for m in moduli:
-        w //= m
-        repunit = full // ((1 << m * w) - 1)
-        row = [None]
-        for v in range(1, m):
-            low = ((1 << (m - v) * w) - 1) * repunit
-            row.append((w, m, v, low, full ^ low, v * w, (m - v) * w))
-        moves.append(row)
-    # the translation by z, one move per nonzero digit, for every code z
-    steps = [[mv for mv in digits if mv] for digits in itertools.product(*moves)]
+class _Translations:
+    """Translation of element masks on one moduli tuple.
 
-    def shift(mask: int, step: list) -> int:
-        for _, _, _, low, high, up, down in step:
+    Translating by v in digit j (weight w, modulus m) is one shift-and-mask
+    move: codes whose digit is below m - v move up by v*w, the rest wrap
+    down by (m - v)*w.  The low mask is one block pattern per period m*w,
+    repeated by a repunit.  The translation by z is one move per nonzero
+    digit of z, put together the first time z is asked for and kept only
+    as long as this object.
+    """
+
+    def __init__(self, moduli: Moduli):
+        self.order = math.prod(moduli)
+        self.full = full = (1 << self.order) - 1
+        self.digits = []  # (weight, modulus, move per digit value)
+        w = self.order
+        for m in moduli:
+            w //= m
+            repunit = full // ((1 << m * w) - 1)
+            row = [None]
+            for v in range(1, m):
+                low = ((1 << (m - v) * w) - 1) * repunit
+                row.append((w, m, v, low, full ^ low, v * w, (m - v) * w))
+            self.digits.append((w, m, row))
+        self.steps: Dict[int, list] = {}
+
+    def encode(self, element: Element) -> int:
+        code = 0
+        for x, (_, m, _) in zip(element, self.digits):
+            code = code * m + x % m
+        return code
+
+    def decode(self, code: int) -> Element:
+        return tuple(code // w % m for w, m, _ in self.digits)
+
+    def step(self, z: int) -> list:
+        """The moves (w, m, v, low, high, up, down) that translate by z."""
+        step = self.steps.get(z)
+        if step is None:
+            step = self.steps[z] = [row[v] for w, m, row in self.digits if (v := z // w % m)]
+        return step
+
+    def shift(self, mask: int, z: int) -> int:
+        """The mask translated by z."""
+        for _, _, _, low, high, up, down in self.step(z):
             mask = (mask & low) << up | (mask & high) >> down
         return mask
 
-    def close(sub: int, size: int, z: int) -> Tuple[int, int, int]:
-        """(sub + z, <sub, z>, the guard's charge for each element of sub + z)."""
-        step = steps[z]
-        coset = shift(sub, step)
-        # the multiples of z below its order k modulo sub
-        digits = [move[:3] for move in step]
-        multiples = [0]
+    def multiples(self, sub: int, z: int) -> List[int]:
+        """The codes of 0, z, 2z, ... below the order of z modulo sub."""
+        step = self.step(z)
+        out = [0]
         kz = z
         while not sub >> kz & 1:
-            multiples.append(kz)
-            for w, m, v in digits:
+            out.append(kz)
+            for w, m, v, _, _, _, _ in step:
                 kz += (v if kz // w % m + v < m else v - m) * w
+        return out
+
+    def close(self, sub: int, z: int) -> Tuple[int, int, int]:
+        """(sub + z, <sub, z>, the guard's charge for each element of sub + z)
+        for a subgroup mask sub."""
+        size = sub.bit_count()
+        coset = self.shift(sub, z)
+        multiples = self.multiples(sub, z)
         k = len(multiples)
         # <sub, z> = sub + multiples; translate whichever side is shorter
         if k - 1 <= size:
             bigger = sub | coset
             kcoset = coset
             for _ in range(k - 2):
-                kcoset = shift(kcoset, step)
+                kcoset = self.shift(kcoset, z)
                 bigger |= kcoset
         else:
-            bitmap = bytearray(order // 8 + 1)
+            bitmap = bytearray(self.order // 8 + 1)
             for x in multiples:
                 bitmap[x >> 3] |= 1 << (x & 7)
             bigger = span = int.from_bytes(bitmap, "little")
             for x in _codes(sub)[1:]:
-                bigger |= shift(span, steps[x])
+                bigger |= self.shift(span, x)
         # nominal cost: a fixpoint closure from size + 1 generators
         return coset, bigger, k * size * (size + 1)
 
-    def replay(sub: int, size: int) -> Iterator[Tuple[int, int]]:
+
+def subgroup_closure(gens: Iterable[Element], moduli: Moduli) -> int:
+    """The mask of the subgroup generated by `gens` (coordinates taken
+    modulo their moduli), one generator at a time."""
+    t = _Translations(moduli)
+    sub = 1
+    for g in gens:
+        z = t.encode(g)
+        if not sub >> z & 1:
+            sub = t.close(sub, z)[1]
+    return sub
+
+
+def all_subgroups(moduli: Moduli, caps: Caps = DEFAULT_CAPS) -> List[int]:
+    """Every subgroup, as a mask, by size and then by sorted codes."""
+    return _all_subgroups(moduli, caps)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_subgroups(moduli: Moduli, caps: Caps) -> List[int]:
+    order = math.prod(moduli)
+    if order > caps.center_order:
+        raise CapExceeded(f"center order on moduli {moduli}", caps.center_order,
+                          observed=order, module="abelian")
+    t = _Translations(moduli)
+
+    def replay(sub: int) -> Iterator[Tuple[int, int]]:
         """(<sub, z>, charge) for each z outside sub, in code order."""
         owner: Dict[int, Tuple[int, int]] = {}
         for z in range(order):
             if not sub >> z & 1:
                 if z not in owner:
-                    coset, bigger, charge = close(sub, size, z)
+                    coset, bigger, charge = t.close(sub, z)
                     owner.update(dict.fromkeys(_codes(coset), (bigger, charge)))
                 yield owner[z]
 
@@ -185,15 +172,15 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
             # a walk over z in code order first meets it
             cosets = []
             upper = work
-            rest = full ^ sub
+            rest = t.full ^ sub
             while rest and upper <= work_budget:
-                coset, bigger, charge = close(sub, size, (rest & -rest).bit_length() - 1)
+                coset, bigger, charge = t.close(sub, (rest & -rest).bit_length() - 1)
                 cosets.append((bigger, charge * size))
                 upper += charge * size
                 rest ^= coset
             # only the subgroup where the guard trips is walked one z at a
             # time, so it trips at the same z with the same count
-            for bigger, charge in (cosets if upper <= work_budget else replay(sub, size)):
+            for bigger, charge in (cosets if upper <= work_budget else replay(sub)):
                 work += charge
                 if work > work_budget:
                     raise CapExceeded(f"subgroup enumeration work on moduli {moduli}",
@@ -206,28 +193,23 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[FrozenSet[Element]]:
                                           caps.subgroup_count, observed=len(subs),
                                           module="abelian")
         frontier = new
-    elements = sorted(elements_of(moduli))
-    ordered = sorted(map(_codes, subs), key=lambda s: (len(s), s))
-    return [frozenset(elements[i] for i in s) for s in ordered]
+    return sorted(subs, key=lambda s: (s.bit_count(), _codes(s)))
 
 
-def minimal_generators(elems: FrozenSet[Element], moduli: Moduli) -> Tuple[Element, ...]:
-    """Short generating tuple for a subgroup given as an element set.
+def minimal_generators(sub: int, moduli: Moduli) -> Tuple[Element, ...]:
+    """Short generating tuple for a subgroup mask.
 
-    Elements are taken by decreasing order, and each one not yet generated
-    grows the closure by its cosets."""
-    gens: List[Element] = []
-    zero = zero_of(moduli)
-    grown = [zero]
-    have = {zero}
-    remaining = sorted(elems, key=lambda e: (-element_order(e, moduli), e))
-    for e in remaining:
-        if e not in have:
-            gens.append(e)
-            _adjoin(grown, have, e, moduli)
-            if len(have) == len(elems):
-                break
-    return tuple(gens)
+    Elements are taken by decreasing order, then in code order, and each
+    one not yet generated grows the closure by its cosets."""
+    t = _Translations(moduli)
+    gens = []
+    grown = 1
+    # the order of z is the number of its multiples modulo {0}
+    for z in sorted(_codes(sub), key=lambda z: -len(t.multiples(1, z))):
+        if not grown >> z & 1:
+            gens.append(z)
+            grown = t.close(grown, z)[1]
+    return tuple(map(t.decode, gens))
 
 
 def _int_log(n: int, p: int) -> int:
@@ -295,22 +277,19 @@ def invariants_from_orders(orders: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def quotient_invariants(moduli: Moduli, sub: FrozenSet[Element]) -> Tuple[int, ...]:
-    """Invariant factors of (product of Z_m) / sub."""
-    full = order_of_moduli(moduli)
-    if full % len(sub):
+def quotient_invariants(moduli: Moduli, sub: int) -> Tuple[int, ...]:
+    """Invariant factors of (product of Z_m) / sub, from one order per
+    coset: that of its lowest code, modulo the subgroup mask sub."""
+    t = _Translations(moduli)
+    if t.order % sub.bit_count():
         raise ValueError("subgroup order does not divide group order")
-    # order of x modulo sub = least k >= 1 with k*x in sub; every coset
-    # contributes len(sub) equal orders, so one in len(sub) of them is kept
     orders = []
-    for x in elements_of(moduli):
-        k = 1
-        acc = x
-        while acc not in sub:
-            acc = add_mod(acc, x, moduli)
-            k += 1
-        orders.append(k)
-    return invariants_from_orders(sorted(orders)[::len(sub)])
+    rest = t.full
+    while rest:
+        z = (rest & -rest).bit_length() - 1
+        orders.append(len(t.multiples(sub, z)))
+        rest ^= t.shift(sub, z)
+    return invariants_from_orders(orders)
 
 
 # --- canonical presentation ----------------------------------------------
@@ -335,11 +314,11 @@ class FiniteAbelianGroup:
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "FiniteAbelianGroup":
         """Canonicalise an arbitrary product of cyclic groups."""
-        return cls(quotient_invariants(moduli, frozenset([zero_of(moduli)])))
+        return cls(quotient_invariants(moduli, 1))
 
     @property
     def order(self) -> int:
-        return order_of_moduli(self.factors)
+        return math.prod(self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -349,12 +328,6 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         """Minimal number of generators."""
         return len(self.factors)
-
-    def elements(self) -> Iterator[Element]:
-        return elements_of(self.factors)
-
-    def element_order(self, a: Element) -> int:
-        return element_order(a, self.factors)
 
     def __str__(self):
         if not self.factors:

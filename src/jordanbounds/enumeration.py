@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import abelian
 from .abelian import FiniteAbelianGroup
@@ -66,7 +67,7 @@ class SemisimpleType:
 
     @property
     def center_order(self) -> int:
-        return abelian.order_of_moduli(self.center_moduli)
+        return math.prod(self.center_moduli)
 
     def __str__(self):
         if not self.factors:
@@ -76,19 +77,24 @@ class SemisimpleType:
 
 @dataclass(frozen=True)
 class IsogenyClass:
-    """A quotient of a simply connected semisimple group by a central subgroup."""
+    """A quotient of a simply connected semisimple group by a central subgroup.
+
+    The kernel is a mask over the center's elements: bit i is the i-th
+    element of the center, with coordinates modulo `base.center_moduli`,
+    in lexicographic order."""
 
     base: SemisimpleType
-    kernel: FrozenSet[Element]
+    kernel: int
 
     def __post_init__(self):
-        moduli = self.base.center_moduli
-        zero = abelian.zero_of(moduli)
-        if zero not in self.kernel:
+        if not self.kernel & 1:
             raise ValueError("kernel must contain the identity")
+        if self.kernel >> self.base.center_order:
+            raise ValueError("kernel has bits past the center order")
         # elements of the kernel generate exactly the kernel only if it is
         # a subgroup; the generators are the ones name() prints
-        if abelian.subgroup_closure(self.kernel_generators, moduli) != self.kernel:
+        if abelian.subgroup_closure(self.kernel_generators,
+                                    self.base.center_moduli) != self.kernel:
             raise ValueError("kernel is not closed under the group law")
 
     @classmethod
@@ -103,19 +109,11 @@ class IsogenyClass:
     def kernel_generators(self) -> Tuple[Element, ...]:
         return abelian.minimal_generators(self.kernel, self.base.center_moduli)
 
-    @property
-    def is_simply_connected(self) -> bool:
-        return len(self.kernel) == 1
-
-    @property
-    def is_adjoint(self) -> bool:
-        return len(self.kernel) == self.base.center_order
-
     def name(self) -> str:
         base = str(self.base)
-        if self.is_simply_connected:
+        if self.kernel == 1:
             return base
-        if self.is_adjoint:
+        if self.kernel.bit_count() == self.base.center_order:
             return f"{base}/adj"
         return base + "/" + "+".join("(" + ",".join(map(str, g)) + ")"
                                      for g in self.kernel_generators)
@@ -179,14 +177,7 @@ def min_faithful_dim(cls: IsogenyClass, caps: Caps = DEFAULT_CAPS) -> int:
 
     One shortest-path pass per form settles every kernel at once.
     """
-    moduli = cls.base.center_moduli
-    kernel_mask = 0
-    for z in cls.kernel:
-        code = 0
-        for x, m in zip(z, moduli):
-            code = code * m + x  # position of z in lexicographic order
-        kernel_mask |= 1 << code
-    return _faithful_dims(cls.base, caps)[kernel_mask]
+    return _faithful_dims(cls.base, caps)[cls.kernel]
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,7 +196,7 @@ def _faithful_dims(base: SemisimpleType, caps: Caps) -> Dict[int, int]:
     per generator of the characters of Z/K is faithful.
     """
     count = len(abelian.all_subgroups(base.center_moduli, caps))
-    full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
+    full = (1 << base.center_order) - 1
     target = (1 << len(base.factors)) - 1
     pool = _undominated(_summand_pool(base), full)
     dist = {(0, full): 0}
@@ -279,7 +270,7 @@ def _summand_pool(base: SemisimpleType) -> List[Tuple[int, int, int]]:
     systems = [build_root_system(f) for f in base.factors]
     nf = len(systems)
     moduli = base.center_moduli
-    cells = sorted(abelian.elements_of(moduli))
+    cells = list(itertools.product(*map(range, moduli)))
     ncells = len(cells)
     denom = math.lcm(1, *moduli)
     blocks = base.center_blocks
@@ -376,7 +367,7 @@ def class_table(n: int, caps: Caps = DEFAULT_CAPS) -> List[dict]:
                 "dim": base.dim,
                 "center": list(center),
                 "kernel_generators": [list(g) for g in cls.kernel_generators],
-                "kernel_order": str(len(cls.kernel)),
+                "kernel_order": str(cls.kernel.bit_count()),
                 "quotient_center": [str(d) for d in quotient_center(cls).factors],
                 "min_faithful_dim": str(min_faithful_dim(cls, caps)),
             })

@@ -16,6 +16,7 @@ of the i-th cyclic factor as (w^T V)_i / d_i mod 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,7 +366,8 @@ class CentralCharacter:
         return all(v == 0 for v in self.values)
 
     def kernel(self) -> FrozenSet[Tuple[int, ...]]:
-        return frozenset(z for z in self.center.elements() if self(z) == 0)
+        return frozenset(z for z in itertools.product(*map(range, self.center.factors))
+                         if self(z) == 0)
 
 
 def central_character(simple_type: SimpleType, weight: DominantWeight) -> CentralCharacter:

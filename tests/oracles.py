@@ -6,6 +6,7 @@ over the pruned searches used by the package.
 
 import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -15,6 +16,37 @@ from jordanbounds.caps import CapExceeded
 from jordanbounds.enumeration import IsogenyClass, SemisimpleType
 from jordanbounds.permgroups import Images, PermGroup, Permutation, _compose, jordan_index
 from jordanbounds.rootsystems import DominantWeight, build_root_system
+
+
+# Tuple arithmetic on a product of cyclic groups: the reference for the
+# package's element codes and subgroup masks.
+
+
+def zero_of(moduli):
+    return tuple(0 for _ in moduli)
+
+
+def elements_of(moduli):
+    """Every element, in lexicographic order: the i-th one has code i."""
+    return itertools.product(*[range(m) for m in moduli])
+
+
+def add_mod(a, b, moduli):
+    return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+
+def element_order(a, moduli) -> int:
+    out = 1
+    for x, m in zip(a, moduli):
+        if x:
+            out = math.lcm(out, m // math.gcd(x, m))
+    return out
+
+
+def decode(mask: int, moduli) -> FrozenSet:
+    """The elements of a subgroup mask: bit i is the i-th element of
+    elements_of(moduli)."""
+    return frozenset(e for i, e in enumerate(elements_of(moduli)) if mask >> i & 1)
 
 
 def exhaustive_min_faithful(cls: IsogenyClass, cap: int) -> int:
@@ -30,8 +62,8 @@ def exhaustive_min_faithful(cls: IsogenyClass, cap: int) -> int:
     if not systems:
         return 0
     moduli = base.center_moduli
-    cells = sorted(abelian.elements_of(moduli))
-    kernel = cls.kernel
+    cells = sorted(elements_of(moduli))
+    kernel = decode(cls.kernel, moduli)
 
     # every dominant weight of every factor with dimension <= cap, by a
     # plain grid walk (a coordinate bump never shrinks the dimension)
@@ -120,11 +152,11 @@ def reference_min_faithful(cls: IsogenyClass, search_dim: int) -> int:
     if nf == 0:
         return 0
     moduli = base.center_moduli
-    cells = sorted(abelian.elements_of(moduli))
+    cells = sorted(elements_of(moduli))
     index_of = {z: i for i, z in enumerate(cells)}
     full_mask = (1 << len(cells)) - 1
     kernel_mask = 0
-    for z in cls.kernel:
+    for z in decode(cls.kernel, moduli):
         kernel_mask |= 1 << index_of[z]
     target_cov = (1 << nf) - 1
 
@@ -155,7 +187,7 @@ def reference_summand_pool(base: SemisimpleType, budget: int) -> List[Tuple[int,
     systems = [build_root_system(f) for f in base.factors]
     nf = len(systems)
     moduli = base.center_moduli
-    cells = sorted(abelian.elements_of(moduli))
+    cells = sorted(elements_of(moduli))
     ncells = len(cells)
     denom = math.lcm(1, *moduli)
     blocks = base.center_blocks
@@ -203,7 +235,7 @@ def reference_faithful_dims(base: SemisimpleType, budget: int) -> Dict[int, int]
     over every summand of reference_summand_pool(base, budget), none of them
     pruned.  Exact for each kernel whose value is at most the budget: a
     multiset of that total holds no summand above it."""
-    full = (1 << abelian.order_of_moduli(base.center_moduli)) - 1
+    full = (1 << math.prod(base.center_moduli)) - 1
     target = (1 << len(base.factors)) - 1
     pool = reference_summand_pool(base, budget)
     dist = {(0, full): 0}
@@ -337,15 +369,15 @@ def commuting_closure_max_abelian(group: PermGroup) -> int:
 
 def brute_force_subgroup_count(moduli) -> int:
     """Count subgroups of a small abelian group by scanning all subsets."""
-    elements = sorted(abelian.elements_of(moduli))
+    elements = sorted(elements_of(moduli))
     order = len(elements)
     assert order <= 16, "subset scan only meant for tiny groups"
     count = 0
-    zero = abelian.zero_of(moduli)
+    zero = zero_of(moduli)
     rest = [e for e in elements if e != zero]
     for mask in range(1 << len(rest)):
         subset = {zero} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-        if all(abelian.add_mod(a, b, moduli) in subset for a in subset for b in subset):
+        if all(add_mod(a, b, moduli) in subset for a in subset for b in subset):
             count += 1
     return count
 
@@ -353,7 +385,7 @@ def brute_force_subgroup_count(moduli) -> int:
 def reference_subgroup_closure(gens, moduli) -> FrozenSet:
     """Subgroup generated by gens, by adding every generator to every new
     element until nothing new appears."""
-    zero = abelian.zero_of(moduli)
+    zero = zero_of(moduli)
     elems = {zero}
     frontier = [zero]
     gens = list(gens)
@@ -361,7 +393,7 @@ def reference_subgroup_closure(gens, moduli) -> FrozenSet:
         new = []
         for e in frontier:
             for g in gens:
-                x = abelian.add_mod(e, g, moduli)
+                x = add_mod(e, g, moduli)
                 if x not in elems:
                     elems.add(x)
                     new.append(x)
@@ -370,22 +402,23 @@ def reference_subgroup_closure(gens, moduli) -> FrozenSet:
 
 
 def reference_quotient_invariants(moduli, sub):
-    """Invariant factors of (product of Z_m) / sub from one representative
-    per coset (its smallest element) and that coset's order."""
-    full = abelian.order_of_moduli(moduli)
+    """Invariant factors of (product of Z_m) / sub, sub an element set, from
+    one representative per coset (its smallest element) and that coset's
+    order."""
+    full = math.prod(moduli)
     if full % len(sub):
         raise ValueError("subgroup order does not divide group order")
     orders = []
     seen = set()
-    for x in abelian.elements_of(moduli):
-        rep = min(abelian.add_mod(x, s, moduli) for s in sub)
+    for x in elements_of(moduli):
+        rep = min(add_mod(x, s, moduli) for s in sub)
         if rep in seen:
             continue
         seen.add(rep)
         k = 1
         acc = x
         while acc not in sub:
-            acc = abelian.add_mod(acc, x, moduli)
+            acc = add_mod(acc, x, moduli)
             k += 1
         orders.append(k)
     return abelian.invariants_from_orders(orders)

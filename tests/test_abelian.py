@@ -6,8 +6,8 @@ from jordanbounds import abelian
 from jordanbounds.abelian import FiniteAbelianGroup
 from jordanbounds.caps import CapExceeded, Caps
 
-from oracles import (brute_force_subgroup_count, reference_quotient_invariants,
-                     reference_subgroup_closure)
+from oracles import (brute_force_subgroup_count, decode, element_order, elements_of,
+                     reference_quotient_invariants, reference_subgroup_closure)
 
 
 def test_invariant_factor_validation():
@@ -31,23 +31,23 @@ def test_from_moduli_canonicalises():
 
 
 def test_element_orders():
+    # the order of an element is the size of the subgroup it generates
     moduli = (2, 4, 3)
-    assert abelian.element_order((0, 0, 0), moduli) == 1
-    assert abelian.element_order((1, 0, 0), moduli) == 2
-    assert abelian.element_order((1, 1, 1), moduli) == 12
-    assert abelian.element_order((0, 2, 0), moduli) == 2
+    for a, order in [((0, 0, 0), 1), ((1, 0, 0), 2), ((1, 1, 1), 12), ((0, 2, 0), 2)]:
+        assert element_order(a, moduli) == order
+        assert abelian.subgroup_closure([a], moduli).bit_count() == order
 
 
 def test_invariants_from_orders_round_trip():
     for factors in [(), (2,), (4,), (2, 2), (2, 4), (3, 3), (2, 12), (2, 2, 2),
                     (5,), (2, 6, 12)]:
-        grp = FiniteAbelianGroup(factors)
-        orders = [grp.element_order(e) for e in grp.elements()]
+        orders = [element_order(e, factors) for e in elements_of(factors)]
         assert abelian.invariants_from_orders(orders) == factors
 
 
-def _invariants(elems, moduli):
-    return abelian.invariants_from_orders([abelian.element_order(e, moduli) for e in elems])
+def _invariants(sub, moduli):
+    return abelian.invariants_from_orders([element_order(e, moduli)
+                                           for e in decode(sub, moduli)])
 
 
 def test_subgroup_counts_against_subset_oracle():
@@ -59,7 +59,7 @@ def test_subgroup_counts_against_subset_oracle():
 def test_subgroup_and_quotient_invariants():
     moduli = (4,)
     subs = abelian.all_subgroups(moduli)
-    assert [len(s) for s in subs] == [1, 2, 4]
+    assert [s.bit_count() for s in subs] == [1, 2, 4]
     order2 = subs[1]
     assert _invariants(order2, moduli) == (2,)
     assert abelian.quotient_invariants(moduli, order2) == (2,)
@@ -74,10 +74,10 @@ def test_subgroup_and_quotient_invariants():
 def test_center_subgroup_helpers():
     moduli = (2, 2)
     sub = abelian.subgroup_closure([(1, 1)], moduli)
-    assert len(sub) == 2
+    assert sub.bit_count() == 2
     assert _invariants(sub, moduli) == (2,)
     assert abelian.minimal_generators(sub, moduli) == ((1, 1),)
-    assert (1, 1) in sub and (1, 0) not in sub
+    assert (1, 1) in decode(sub, moduli) and (1, 0) not in decode(sub, moduli)
 
 
 def test_minimal_generators_regenerate():
@@ -100,7 +100,8 @@ def _moduli_and_generators(draw):
 @given(_moduli_and_generators())
 def test_subgroup_closure_matches_fixpoint_reference(case):
     moduli, gens = case
-    assert abelian.subgroup_closure(gens, moduli) == reference_subgroup_closure(gens, moduli)
+    assert (decode(abelian.subgroup_closure(gens, moduli), moduli)
+            == reference_subgroup_closure(gens, moduli))
 
 
 def _divisor_count(n):
@@ -111,7 +112,7 @@ def _divisor_count(n):
     ((2,) * k, c) for k, c in enumerate([1, 2, 5, 16, 67, 374, 2825])
 ] + [((3, 3, 3), 28)] + [((n,), _divisor_count(n)) for n in (1, 2, 7, 12, 60, 64, 210)])
 def test_subgroup_counts_match_closed_forms(moduli, count):
-    subs = abelian.all_subgroups(moduli)
+    subs = [decode(s, moduli) for s in abelian.all_subgroups(moduli)]
     assert len(subs) == count
     assert subs == sorted(subs, key=lambda s: (len(s), sorted(s)))
     if count <= 400:  # the fixpoint closure is quadratic in the subgroup order
@@ -119,11 +120,16 @@ def test_subgroup_counts_match_closed_forms(moduli, count):
             assert reference_subgroup_closure(sub, moduli) == sub
 
 
-@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (4, 4), (2, 3, 4), (6, 6)])
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (4, 4), (2, 3, 4), (6, 6), (2, 4), (2, 2, 4),
+                                    (4, 8), (2, 2, 2, 4), (3, 3, 3)])
 def test_quotient_invariants_match_coset_reference(moduli):
     for sub in abelian.all_subgroups(moduli):
+        elems = decode(sub, moduli)
         assert (abelian.quotient_invariants(moduli, sub)
-                == reference_quotient_invariants(moduli, sub)), sorted(sub)
+                == reference_quotient_invariants(moduli, elems)), sorted(elems)
+        # the generators printed for the subgroup regenerate it
+        gens = abelian.minimal_generators(sub, moduli)
+        assert reference_subgroup_closure(gens, moduli) == elems, sorted(elems)
 
 
 @pytest.mark.parametrize("moduli,caps,limit,observed", [

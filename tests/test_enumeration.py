@@ -63,11 +63,16 @@ def test_center_order_cap_names_the_moduli():
 
 def test_isogeny_class_validation():
     base = SemisimpleType((A1, A1))
-    IsogenyClass.from_generators(base, [(1, 1)])
+    # the center Z2 x Z2 has codes 0..3 for (0,0), (0,1), (1,0), (1,1)
+    assert IsogenyClass.from_generators(base, [(1, 1)]).kernel == 0b1001
     with pytest.raises(ValueError):
-        IsogenyClass(base, frozenset([(1, 1)]))  # missing identity
+        IsogenyClass(base, 0b1000)  # missing identity
     with pytest.raises(ValueError):
-        IsogenyClass(base, frozenset([(0, 0), (1, 0), (1, 1)]))  # not closed
+        IsogenyClass(base, 0b1101)  # not closed
+    with pytest.raises(ValueError):
+        IsogenyClass(base, 0b10001)  # a bit past the center order
+    # generator coordinates are taken modulo the center's moduli
+    assert cls_of(["A1"], [(3,)]).name() == "A1/adj"
 
 
 def test_quotient_center():
@@ -84,7 +89,7 @@ def test_quotient_center_never_exceeds_cover():
     for base in enumerate_semisimple(10):
         for cls in isogeny_classes(base):
             assert quotient_center(cls).order <= base.center_order
-            assert quotient_center(cls).order * len(cls.kernel) == base.center_order
+            assert quotient_center(cls).order * cls.kernel.bit_count() == base.center_order
 
 
 def test_min_faithful_examples():

@@ -8,6 +8,8 @@ from jordanbounds.rootsystems import (DominantWeight, SimpleType,
                                       admissible_types, build_root_system,
                                       catalog_entry, central_character, weyl_dim)
 
+from oracles import element_order, elements_of
+
 A1 = SimpleType("A", 1)
 w = DominantWeight
 
@@ -120,7 +122,7 @@ def test_central_characters_a1():
 
 def test_irrep_kernels():
     k = central_character(SimpleType.parse("A3"), w((0, 1, 0))).kernel()
-    orders = [abelian.element_order(z, (4,)) for z in k]
+    orders = [element_order(z, (4,)) for z in k]
     assert len(k) == 2 and abelian.invariants_from_orders(orders) == (2,)
     assert central_character(A1, w((1,))).kernel() == {(0,)}
     assert central_character(SimpleType.parse("B2"), w((0, 1))).kernel() == {(0,)}
@@ -135,7 +137,7 @@ def test_character_pairing_injective_rank8():
         chars = [central_character(t, w(tuple(int(i == j) for j in range(t.rank))))
                  for i in range(t.rank)]
         seen = set()
-        for z in rs.center.elements():
+        for z in elements_of(rs.center.factors):
             key = tuple(chi(z) for chi in chars)
             assert key not in seen, f"{t}: center not separated"
             seen.add(key)
