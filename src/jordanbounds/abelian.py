@@ -71,6 +71,13 @@ class _Translations:
     def decode(self, code: int) -> Element:
         return tuple(code // w % m for w, m, _ in self.digits)
 
+    def check(self, sub: int) -> None:
+        """Reject a mask with no code 0 or a code past the group order, on
+        which the multiples loop would never end."""
+        if not sub & 1 or sub >> self.order:
+            raise ValueError(f"{sub:#x} is no subgroup mask: it needs code 0 "
+                             f"and no code past {self.order - 1}")
+
     def step(self, z: int) -> list:
         """The moves (w, m, v, low, high, up, down) that translate by z."""
         step = self.steps.get(z)
@@ -202,6 +209,7 @@ def minimal_generators(sub: int, moduli: Moduli) -> Tuple[Element, ...]:
     Elements are taken by decreasing order, then in code order, and each
     one not yet generated grows the closure by its cosets."""
     t = _Translations(moduli)
+    t.check(sub)
     gens = []
     grown = 1
     # the order of z is the number of its multiples modulo {0}
@@ -281,6 +289,7 @@ def quotient_invariants(moduli: Moduli, sub: int) -> Tuple[int, ...]:
     """Invariant factors of (product of Z_m) / sub, from one order per
     coset: that of its lowest code, modulo the subgroup mask sub."""
     t = _Translations(moduli)
+    t.check(sub)
     if t.order % sub.bit_count():
         raise ValueError("subgroup order does not divide group order")
     orders = []
@@ -288,7 +297,7 @@ def quotient_invariants(moduli: Moduli, sub: int) -> Tuple[int, ...]:
     while rest:
         z = (rest & -rest).bit_length() - 1
         orders.append(len(t.multiples(sub, z)))
-        rest ^= t.shift(sub, z)
+        rest &= ~t.shift(sub, z)
     return invariants_from_orders(orders)
 
 

@@ -87,12 +87,9 @@ class IsogenyClass:
     kernel: int
 
     def __post_init__(self):
-        if not self.kernel & 1:
-            raise ValueError("kernel must contain the identity")
-        if self.kernel >> self.base.center_order:
-            raise ValueError("kernel has bits past the center order")
-        # elements of the kernel generate exactly the kernel only if it is
-        # a subgroup; the generators are the ones name() prints
+        # kernel_generators rejects a mask without the identity or with bits
+        # past the center order; the generators, the ones name() prints,
+        # give back exactly the kernel only if it is a subgroup
         if abelian.subgroup_closure(self.kernel_generators,
                                     self.base.center_moduli) != self.kernel:
             raise ValueError("kernel is not closed under the group law")

@@ -78,6 +78,13 @@ def test_center_subgroup_helpers():
     assert _invariants(sub, moduli) == (2,)
     assert abelian.minimal_generators(sub, moduli) == ((1, 1),)
     assert (1, 1) in decode(sub, moduli) and (1, 0) not in decode(sub, moduli)
+    # a mask without code 0, or with a code past the group order, is no
+    # subgroup's, and the multiples loop on it would never end
+    for bad in (0b1000, 0b10001):
+        with pytest.raises(ValueError):
+            abelian.quotient_invariants(moduli, bad)
+        with pytest.raises(ValueError):
+            abelian.minimal_generators(bad, moduli)
 
 
 def test_minimal_generators_regenerate():
