@@ -40,9 +40,10 @@ def decimal(value: int) -> str:
 
     The interpreter limits int -> str conversions; printing big bounds in
     decimal is a designed feature, so a non-zero limit is raised as far as
-    this value needs.  A limit of 0 already means no limit.  Values past
-    _DECIMAL_SPLIT_BITS go through _decimal_product, which the limit does
-    not cover.
+    this value needs for the one conversion and then restored, as the limit
+    also guards the host program's int(str) parsing.  A limit of 0 already
+    means no limit.  Values past _DECIMAL_SPLIT_BITS go through
+    _decimal_product, which the limit does not cover.
     """
     if value.bit_length() > _DECIMAL_SPLIT_BITS:
         if value < 0:
@@ -56,6 +57,10 @@ def decimal(value: int) -> str:
         need = value.bit_length() // 3 + 1
         if limit and need > limit:
             sys.set_int_max_str_digits(need)
+            try:
+                return str(value)
+            finally:
+                sys.set_int_max_str_digits(limit)
     return str(value)
 
 

@@ -22,7 +22,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import boundvalue
 from .boundvalue import BoundValue, bv_min
@@ -241,11 +241,13 @@ TRIVIAL_TRIPLE = BoundTriple(BV_ONE, 0, 1)
 
 @dataclass(frozen=True)
 class TraceStep:
-    op: str           # key into the replay table
+    op: str           # the rule's fixed name
     rule: str         # short rule label
     statement: str    # the mathematical fact used, self-contained
     inputs: tuple
     output: object
+    # recomputes output from inputs, with the caps of the call that made it
+    redo: Callable = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -261,8 +263,9 @@ class TraceStep:
 class DerivationTrace:
     steps: List[TraceStep] = field(default_factory=list)
 
-    def add(self, op: str, rule: str, statement: str, inputs: tuple, output) -> None:
-        self.steps.append(TraceStep(op, rule, statement, inputs, output))
+    def add(self, op: str, rule: str, statement: str, inputs: tuple, output,
+            redo: Callable) -> None:
+        self.steps.append(TraceStep(op, rule, statement, inputs, output, redo))
 
     def extend(self, other: "DerivationTrace") -> None:
         self.steps.extend(other.steps)
@@ -272,12 +275,9 @@ class DerivationTrace:
         return self.steps[-1].output if self.steps else None
 
     def replay(self):
-        """Recompute every step through the replay table; raises on mismatch."""
+        """Recompute every step from its inputs; raises on mismatch."""
         for step in self.steps:
-            fn = _REPLAY.get(step.op)
-            if fn is None:
-                raise KeyError(f"no replay handler for op {step.op!r}")
-            redone = fn(*step.inputs)
+            redone = step.redo(*step.inputs)
             if isinstance(redone, tuple):  # a (value, trace) pair
                 redone = redone[0]
             if redone != step.output:
@@ -316,9 +316,10 @@ _LEAF_STATEMENTS = {
 
 def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple:
     """Ground constants for the atomic group kinds."""
-    param = int(param)
     if kind not in LEAF_KINDS:
         raise ValueError(f"unknown leaf kind {kind!r}")
+    if not isinstance(param, int) or isinstance(param, bool):
+        raise ValueError(f"{kind} parameter must be an integer, got {param!r}")
     if param < 0:
         raise ValueError(f"{kind} parameter must be non-negative")
     if kind == "torus":
@@ -351,7 +352,8 @@ def leaf_with_trace(kind: str, param: int, caps: Caps = DEFAULT_CAPS
                     ) -> Tuple[BoundTriple, DerivationTrace]:
     triple = leaf_triple(kind, param, caps)
     trace = DerivationTrace()
-    trace.add("leaf", f"leaf {kind}", _LEAF_STATEMENTS[kind], (kind, param), triple)
+    trace.add("leaf", f"leaf {kind}", _LEAF_STATEMENTS[kind], (kind, param), triple,
+              functools.partial(leaf_triple, caps=caps))
     return triple, trace
 
 
@@ -412,14 +414,14 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
         trace.add("combine_extension", f"extension: {rule}",
                   statement + "; Rk_f(G) <= Rk_f(G1) + Rk_f(G2); "
                               "Bd(G) <= Bd(G1) * Bd(G2)",
-                  (t1, t2), out)
+                  (t1, t2), out, combine_extension)
     else:
         out = make_triple(BV_INF, rkf, bd)
         trace.add("combine_extension", "extension: no finiteness rule",
                   "neither part is constrained enough; the Jordan bound of the "
                   "extension stays unbounded; the rank and order bounds still "
                   "combine additively and multiplicatively",
-                  (t1, t2), out)
+                  (t1, t2), out, combine_extension)
     return out, trace
 
 
@@ -431,7 +433,7 @@ def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, Deriva
     trace.add("combine_product", "direct product",
               "J(G1 x G2) <= J(G1) * J(G2); Rk_f <= Rk_f(G1) + Rk_f(G2); "
               "Bd <= Bd(G1) * Bd(G2)",
-              (a, b), out)
+              (a, b), out, combine_product)
     return out, trace
 
 
@@ -476,7 +478,7 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
               "commutator subgroup of order at most n^n, an upper bound on "
               "2^floor(n/3), the largest center order among semisimple "
               "groups of dimension at most n",
-              (n,), order)
+              (n,), order, central_commutator_order)
     commutator_leaf, leaf_trace = leaf_with_trace(
         "finite", order.to_int(max_digits=10 ** 7), caps)
     trace.extend(leaf_trace)
@@ -485,7 +487,7 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
               "finite abelian subgroups of the quotient by the central "
               "commutator subgroup need at most 2m + n + embedding_dim(n) "
               "generators (m the anti-affine dimension, n the reductive one)",
-              (n, m), rank)
+              (n, m), rank, functools.partial(rank_bound_mod_commutator, caps=caps))
     abelianised = BoundTriple(BV_ONE, rank, None)
     combined, ext_trace = combine_extension(commutator_leaf, abelianised)
     trace.extend(ext_trace)
@@ -493,7 +495,7 @@ def _central_commutator_pipeline(dim_reductive: int, dim_antiaffine: int,
     trace.add("scale", "index times subgroup bound",
               "a subgroup of index at most s with Jordan bound j gives the "
               "whole group Jordan bound s * j",
-              (index_bound, combined.j), total)
+              (index_bound, combined.j), total, operator.mul)
     return total
 
 
@@ -516,7 +518,7 @@ def connected_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
               "semisimple Jordan bound for dimension n whose image under the "
               "affine and anti-affine projections is abelian; the reductive "
               "and anti-affine parts both have dimension at most n",
-              (n,), index)
+              (n,), index, functools.partial(semisimple_jordan_bound, caps=caps))
     value = _central_commutator_pipeline(n, n, index, caps, trace)
     return value, trace
 
@@ -537,7 +539,7 @@ def connected_triple(n: int, caps: Caps = DEFAULT_CAPS
     trace.add("connected_triple", "connected-group triple",
               "the Jordan and rank bounds assembled above; positive-dimensional "
               "groups may contain arbitrarily large finite subgroups",
-              (n,), triple)
+              (n,), triple, functools.partial(connected_triple, caps=caps))
     return triple, trace
 
 
@@ -571,19 +573,19 @@ def aut0_jordan_bound(n: int, caps: Caps = DEFAULT_CAPS
               "torus acts generically freely, so the torus rank is at most n, "
               "and reductive dimension is at most four times the square of "
               "the rank",
-              (n,), t)
+              (n,), t, _reductive_dim_bound)
     m = _antiaffine_dim_bound(n)
     trace.add("antiaffine_dim_bound", "anti-affine dimension",
               "an anti-affine group acting faithfully on a projective variety "
               "of dimension n has dimension at most 2n",
-              (n,), m)
+              (n,), m, _antiaffine_dim_bound)
     index = semisimple_jordan_bound(t, caps)
     trace.add("semisimple_jordan_bound", "linear-part index reduction",
               "every finite subgroup of the connected automorphism group has "
               "a subgroup of index at most the semisimple Jordan bound for "
               "the reductive dimension whose affine and anti-affine images "
               "are abelian",
-              (t,), index)
+              (t,), index, functools.partial(semisimple_jordan_bound, caps=caps))
     value = _central_commutator_pipeline(t, m, index, caps, trace)
     return value, trace
 
@@ -602,22 +604,6 @@ def aut0_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, Derivat
     triple = make_triple(value, aut0_rank_bound(n, caps), None)
     trace.add("aut0_triple", "automorphism-group triple",
               "the Jordan and rank bounds assembled above",
-              (n,), triple)
+              (n,), triple, functools.partial(aut0_triple, caps=caps))
     return triple, trace
 
-
-# the op names recorded in traces, each mapped to the function that recomputes
-# the step's output from its inputs
-_REPLAY: Dict[str, Callable] = {
-    "leaf": leaf_triple,
-    "combine_extension": combine_extension,
-    "combine_product": combine_product,
-    "central_commutator_order": central_commutator_order,
-    "rank_bound_mod_commutator": rank_bound_mod_commutator,
-    "scale": operator.mul,
-    "semisimple_jordan_bound": semisimple_jordan_bound,
-    "connected_triple": connected_triple,
-    "reductive_dim_bound": _reductive_dim_bound,
-    "antiaffine_dim_bound": _antiaffine_dim_bound,
-    "aut0_triple": aut0_triple,
-}

@@ -17,7 +17,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .abelian import invariants_from_orders
 from .boundvalue import BoundValue
@@ -164,11 +164,10 @@ class _GroupTable:
     subgroup mask to the largest abelian subgroup order inside it.
     """
 
-    __slots__ = ("index", "commute", "abelian_memo")
+    __slots__ = ("commute", "abelian_memo")
 
     def __init__(self, elements: FrozenSet[Images]):
         elements = sorted(elements)
-        self.index = {e: i for i, e in enumerate(elements)}
         self.commute = [1 << i for i in range(len(elements))]
         # getters[i](b) is b o a for a = elements[i]; on degree 1 it is the
         # scalar b[a[0]] on both sides of the comparison
@@ -180,12 +179,6 @@ class _GroupTable:
                     self.commute[i] |= 1 << j
                     self.commute[j] |= 1 << i
         self.abelian_memo: Dict[int, int] = {}
-
-    def mask_of(self, elems: Iterable[Images]) -> int:
-        mask = 0
-        for e in elems:
-            mask |= 1 << self.index[e]
-        return mask
 
 
 def _bits(mask: int):
@@ -226,12 +219,12 @@ def _max_abelian_mask(table: _GroupTable, mask: int) -> int:
     memo = table.abelian_memo
 
     def refine(m: int) -> int:
-        noncentral = [i for i in _bits(m) if m & ~table.commute[i]]
-        if not noncentral:
-            return m.bit_count()
         hit = memo.get(m)
         if hit is not None:
             return hit
+        noncentral = [i for i in _bits(m) if m & ~table.commute[i]]
+        if not noncentral:
+            return m.bit_count()
         best = 0
         for i in noncentral:
             best = max(best, refine(m & table.commute[i]))
@@ -243,8 +236,8 @@ def _max_abelian_mask(table: _GroupTable, mask: int) -> int:
 
 def max_abelian_order(group: PermGroup) -> int:
     """Largest order of an abelian subgroup."""
-    table = _table_for(group)
-    return _max_abelian_mask(table, table.mask_of(group.elements))
+    # the whole group, every element's bit set
+    return _max_abelian_mask(_table_for(group), (1 << group.order) - 1)
 
 
 def jordan_index(group: PermGroup) -> int:

@@ -216,7 +216,6 @@ class RootSystem:
         self.cartan = cartan_matrix(simple_type)
         self.sym = _symmetrizer(self.cartan)
         self.positive_roots = self._closure()
-        self.rho = tuple(1 for _ in range(self.rank))
         expected = (simple_type.dim - self.rank) // 2
         if len(self.positive_roots) != expected:
             raise AssertionError(

@@ -334,10 +334,24 @@ def test_render_keeps_an_unlimited_str_digit_limit(int_str_limit):
 
 
 def test_render_raises_a_low_str_digit_limit(int_str_limit):
+    sys.set_int_max_str_digits(0)
+    want = str(7 ** 2000)
     sys.set_int_max_str_digits(640)
     text = BoundValue.from_int(7).pow(2000).render()
-    assert len(text) == 1691
-    assert sys.get_int_max_str_digits() >= 1691
+    assert len(text) == 1691 and text == want
+    # raised for the one conversion only: the limit also guards int(str)
+    assert sys.get_int_max_str_digits() == 640
+
+
+def test_decimal_leaves_the_str_digit_limit_as_it_found_it(int_str_limit):
+    value = 7 ** 10000
+    assert value.bit_length() <= boundvalue._DECIMAL_SPLIT_BITS
+    sys.set_int_max_str_digits(0)
+    want = str(value)
+    assert len(want) == 8451
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    assert boundvalue.decimal(value) == want
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_bases_past_the_str_digit_limit_render_and_serialise(int_str_limit):

@@ -196,6 +196,10 @@ def test_leaf_values():
         leaf_triple("finite", 0)
     with pytest.raises(ValueError):
         leaf_triple("banana", 1)
+    # no truncation or coercion of the parameter
+    for kind, param in (("torus", 2.9), ("finite", "6"), ("gl_field", True)):
+        with pytest.raises(ValueError, match=f"{kind} parameter must be an integer"):
+            leaf_triple(kind, param)
 
 
 def test_gl_rational_leaf_respects_order_bound():
@@ -413,7 +417,30 @@ def test_replay_table_is_exactly_the_emitted_ops():
     assert "extension: no finiteness rule" in {step.rule for step in steps}
     for trace in traces:
         trace.replay()
-    assert {step.op for step in steps} == set(calc._REPLAY)
+    # the fixed op names README lists for the serialised trace
+    assert {step.op for step in steps} == {
+        "leaf", "combine_extension", "combine_product", "central_commutator_order",
+        "rank_bound_mod_commutator", "scale", "semisimple_jordan_bound",
+        "connected_triple", "reductive_dim_bound", "antiaffine_dim_bound",
+        "aut0_triple"}
+
+
+def test_replay_runs_under_the_caps_each_trace_was_made_with(monkeypatch):
+    from jordanbounds import enumeration
+    caps = Caps(decimal_digits=123)
+    seen = []
+    embedding_dim = enumeration.embedding_dim
+
+    def spy(n, caps):
+        seen.append(caps)
+        return embedding_dim(n, caps)
+
+    monkeypatch.setattr(enumeration, "embedding_dim", spy)
+    for text in ("connected(3)", "aut0(1)", "semisimple([A1,A1],sc)"):
+        triple, trace = dsl.evaluate(dsl.parse(text), caps)
+        seen.clear()
+        assert trace.replay() == triple
+        assert seen and all(c is caps for c in seen), text
 
 
 def test_minkowski_divides_orders_of_rational_matrix_groups(corpus_groups):

@@ -361,7 +361,7 @@ def test_finite_constant_past_order_2000(capsys, tmp_path):
 def test_text_verify_expands_the_bound_up_to_the_digit_cap(capsys, tmp_path):
     argv = ("finite", "verify", "--file", corpus_path("z2.grp"), "--context", "gl_dim:64")
     code, out, _ = run_cli(capsys, *argv)
-    expected = str(gl_jordan_bound(64))
+    expected = decimal(gl_jordan_bound(64))
     assert len(expected) > 10_000
     assert code == 0 and f"bound {expected}" in out.splitlines()
     code, out, _ = run_cli(capsys, "--json", *argv)

@@ -180,8 +180,13 @@ def test_equal_element_sets_share_one_table(corpus_groups):
     assert pg._table_for(regenerated) is pg._table_for(group)
 
 
-def test_max_abelian_order_memo_lives_on_the_table(corpus_groups):
+def test_max_abelian_order_memo_lives_on_the_table(corpus_groups, monkeypatch):
     group = corpus_groups["s4"]
     table = pg._table_for(group)
     best = pg.max_abelian_order(group)
-    assert table.abelian_memo[table.mask_of(group.elements)] == best
+    assert table.abelian_memo[(1 << group.order) - 1] == best
+    # a repeated query is answered by the memo before any element is scanned
+    scans = []
+    monkeypatch.setattr(pg, "_bits", lambda mask: scans.append(mask) or iter(()))
+    assert pg.max_abelian_order(group) == best
+    assert scans == []

@@ -146,7 +146,11 @@ def test_character_pairing_injective_rank8():
 def test_rho_and_determinant_cross_checks():
     for t in admissible_types(8):
         rs = build_root_system(t)
-        assert rs.rho == (1,) * t.rank
+        # the positive roots sum to 2 rho, rho = (1, ..., 1) in fundamental
+        # weights; simple root j has the weight coordinates of Cartan row j
+        two_rho = [sum(root[j] * rs.cartan[j][i] for root in rs.positive_roots
+                       for j in range(t.rank)) for i in range(t.rank)]
+        assert two_rho == [2] * t.rank, t
         # det(Cartan) = center order, via the Smith diagonal kept on the system
         det = 1
         for d in rs._snf_diag:
