@@ -431,9 +431,9 @@ def test_replay_runs_under_the_caps_each_trace_was_made_with(monkeypatch):
     seen = []
     embedding_dim = enumeration.embedding_dim
 
-    def spy(n, caps):
-        seen.append(caps)
-        return embedding_dim(n, caps)
+    def spy(n, used):
+        seen.append(used)
+        return embedding_dim(n, used)
 
     monkeypatch.setattr(enumeration, "embedding_dim", spy)
     for text in ("connected(3)", "aut0(1)", "semisimple([A1,A1],sc)"):
