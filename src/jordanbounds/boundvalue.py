@@ -5,17 +5,25 @@ unexpanded, together with a certified base-10 logarithm interval.  Bounds
 like (n^n)^((3n+E)*n^n) dwarf anything materialisable, so arithmetic stays
 on the factored form; decimal expansion is permitted only below a digit cap.
 
+Rendering converts each base to decimal once.  A value of at most
+_DECIMAL_LEAF_BITS bits is expanded as one int and printed by str(); any
+larger value under the cap is the libmpdec product of its bases' powers,
+each base converted by splitting it at powers of two down to 2,048-bit
+leaves (Brent & Zimmermann, Modern Computer Arithmetic, 1.7), and
+to_json's factor strings come from that same conversion.
+
 Logarithms are certified in exact integers: each base b gets cached bounds
 lo <= 2^P * log2(b) <= hi, a value sums e * [lo, hi] over its factors,
 and its log10 enclosure divides the P = 128 sums by the bounds of
 log2(10), rounded outward to floats.
 
-Equality is mathematical, not structural: 4^24 == 2^48.  It is decided by
-rewriting both sides over a joint gcd-free (pairwise coprime) base set.
-Order comparisons try, in turn: the bit-length ranges 2^low <= value <=
-2^bits, equality, the integer log2 enclosures at P = 128, exact integers
-when both sides expand below the digit cap, and last the integer
-enclosures at doubling precision.
+Equality is mathematical, not structural: 4^24 == 2^48.  Two values of at
+most _SMALL_BITS bits are expanded and compared as ints; larger ones are
+rewritten over a joint gcd-free (pairwise coprime) base set.  Order
+comparisons try, in turn: the bit-length ranges 2^low <= value <= 2^bits,
+exact ints when both values have at most _SMALL_BITS bits, equality, the
+integer log2 enclosures at P = 128, exact ints when both sides expand below
+the digit cap, and last the integer enclosures at doubling precision.
 """
 
 from __future__ import annotations
@@ -28,11 +36,18 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .caps import DEFAULT_CAPS
 
 
-# Past this many bits the divide-and-conquer conversion through libmpdec
-# beats CPython's quadratic int -> str (2.6 ms against 2.1 ms at 40,000 bits,
-# 236 ms against 31-39 ms at 384,000 bits, on a 2-vCPU x86-64 host)
+# Past this many bits decimal() converts a plain int through libmpdec: the
+# divide-and-conquer conversion beats CPython's quadratic int -> str (2.6 ms
+# against 2.1 ms at 40,000 bits, 236 ms against 31-39 ms at 384,000 bits, on
+# a 2-vCPU x86-64 host)
 _DECIMAL_SPLIT_BITS = 40_000
+# Leaf size of the split, and the size up to which a BoundValue renders by
+# str(): below it libmpdec's set-up costs more than the conversion saves
 _DECIMAL_LEAF_BITS = 2048
+# compare and == expand two values of at most this many bits and compare
+# ints: 9 us for a 4,096-bit pair, against 10-60 us for the coprime basis
+# and log sums (more past it for large bases), on a 2-vCPU x86-64 host
+_SMALL_BITS = 4096
 
 
 def decimal(value: int) -> str:
@@ -64,13 +79,14 @@ def decimal(value: int) -> str:
     return str(value)
 
 
-def _decimal_product(factors: Iterable[Tuple[int, int]]):
+def _decimal_product(factors: Iterable[Tuple[int, int]], bases: Optional[List[str]] = None):
     """prod(base ** exp) over positive integer bases as an exact libmpdec
-    Decimal, whose products and powers are subquadratic.  A base past
-    _DECIMAL_SPLIT_BITS is converted by splitting it as lo + hi * 2^w and
-    combining the halves.  Every operation runs under the Inexact trap, so
-    a rounding raises."""
-    import decimal as mpd  # deferred: only values past the split need it
+    Decimal, whose products and powers are subquadratic.  Each base is
+    converted once: a base past _DECIMAL_LEAF_BITS is split as lo + hi * 2^w
+    and the halves combined (Brent & Zimmermann, Modern Computer Arithmetic,
+    1.7).  When `bases` is a list, each base's decimal string is appended to
+    it.  Every operation runs under the Inexact trap, so a rounding raises."""
+    import decimal as mpd  # deferred: only values past the leaf size need it
 
     powers = {}
 
@@ -98,8 +114,9 @@ def _decimal_product(factors: Iterable[Tuple[int, int]]):
         ctx.traps[mpd.Inexact] = True
         out = mpd.Decimal(1)
         for base, exp in factors:
-            bits = base.bit_length()
-            d = convert(base, bits) if bits > _DECIMAL_SPLIT_BITS else mpd.Decimal(base)
+            d = convert(base, base.bit_length())
+            if bases is not None:
+                bases.append(str(d))
             out *= d ** exp
         return out
 
@@ -217,23 +234,44 @@ def _factor_over_basis(n: int, exp: int, basis: List[int], out: Dict[int, int]):
 
 
 class BoundValue:
-    """Positive integer held as an unexpanded product of powers, or infinity."""
+    """Positive integer held as an unexpanded product of powers, or infinity.
 
-    __slots__ = ("_factors", "_infinite")
+    _bits and _low_bits bound a finite value as 2^_low_bits <= value <=
+    2^_bits; they are set once, when the value is made."""
+
+    __slots__ = ("_factors", "_infinite", "_bits", "_low_bits")
 
     def __init__(self, factors: Iterable[Tuple[int, int]] = (), *, infinite: bool = False):
         merged: Dict[int, int] = {}
         if not infinite:
             for base, exp in factors:
-                base = int(base)
-                exp = int(exp)
+                # int subclasses are refused too: bool, and IntEnum, whose
+                # str() is not its decimal
+                if type(base) is not int or type(exp) is not int:
+                    raise ValueError("bases and exponents must be ints")
                 if base < 1 or exp < 0:
                     raise ValueError("bases must be >= 1 and exponents >= 0")
                 if base == 1 or exp == 0:
                     continue
                 merged[base] = merged.get(base, 0) + exp
-        object.__setattr__(self, "_factors", tuple(sorted(merged.items())))
-        object.__setattr__(self, "_infinite", infinite)
+        factors = tuple(sorted(merged.items()))
+        bits = sum(e * b.bit_length() for b, e in factors)
+        self._set(factors, infinite, bits, bits - sum(e for _, e in factors))
+
+    def _set(self, factors, infinite, bits, low_bits):
+        put = object.__setattr__
+        put(self, "_factors", factors)
+        put(self, "_infinite", infinite)
+        put(self, "_bits", bits)
+        put(self, "_low_bits", low_bits)
+
+    @classmethod
+    def _of(cls, factors: Tuple[Tuple[int, int], ...], bits: int, low_bits: int) -> "BoundValue":
+        """A finite value from factors already merged and sorted, with bases
+        > 1 and exponents > 0, and their bit-length bounds."""
+        value = object.__new__(cls)
+        value._set(factors, False, bits, low_bits)
+        return value
 
     def __setattr__(self, *a):
         raise AttributeError("BoundValue is immutable")
@@ -242,9 +280,14 @@ class BoundValue:
 
     @classmethod
     def from_int(cls, n: int) -> "BoundValue":
+        if type(n) is not int:
+            raise ValueError("BoundValue.from_int takes an int")
         if n < 1:
             raise ValueError("BoundValue must be >= 1")
-        return cls([(n, 1)])
+        if n == 1:
+            return cls._of((), 0, 0)
+        bits = n.bit_length()
+        return cls._of(((n, 1),), bits, bits - 1)
 
     @property
     def is_infinite(self) -> bool:
@@ -264,7 +307,7 @@ class BoundValue:
     def _coerce(other) -> "BoundValue":
         if isinstance(other, BoundValue):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return BoundValue.from_int(other)
         return NotImplemented
 
@@ -274,19 +317,25 @@ class BoundValue:
             return o
         if self._infinite or o._infinite:
             return INF
-        return BoundValue(self._factors + o._factors)
+        merged = dict(self._factors)
+        for base, exp in o._factors:
+            merged[base] = merged.get(base, 0) + exp
+        return BoundValue._of(tuple(sorted(merged.items())), self._bits + o._bits,
+                              self._low_bits + o._low_bits)
 
     __rmul__ = __mul__
 
     def pow(self, exponent: int) -> "BoundValue":
-        exponent = int(exponent)
+        if type(exponent) is not int:
+            raise ValueError("exponent must be an int")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
         if exponent == 0:
             return ONE
         if self._infinite:
             return INF
-        return BoundValue((b, e * exponent) for b, e in self._factors)
+        return BoundValue._of(tuple((b, e * exponent) for b, e in self._factors),
+                              self._bits * exponent, self._low_bits * exponent)
 
     __pow__ = pow
 
@@ -301,55 +350,57 @@ class BoundValue:
         lo, hi = self.log10_interval()
         return (int(math.floor(lo)) + 1, int(math.floor(hi)) + 1)
 
-    def _past_cap(self, max_digits: int, bits: int) -> Optional[bool]:
-        """False when a value of at most `bits` bits surely has at most
-        max_digits digits, None when it surely has more, True when only the
-        expansion can tell."""
+    def _past_cap(self, max_digits: int) -> Optional[bool]:
+        """False when a finite value surely has at most max_digits digits,
+        None when it surely has more, True when only the expansion can
+        tell."""
         # log10(2) < 1/3, so bits // 3 + 1 bounds the digit count from above
         # and decides most values without the certified logarithm
-        if bits // 3 + 1 <= max_digits:
+        if self._bits // 3 + 1 <= max_digits:
             return False
         lo, hi = self.digits10_interval()
         if lo > max_digits:
             return None
         return hi > max_digits
 
-    def _bits(self) -> int:
-        """An upper bound on the bit length of a finite value."""
-        return sum(e * b.bit_length() for b, e in self._factors)
-
-    def _low_bits(self) -> int:
-        """A lower bound on log2 of a finite value."""
-        return sum(e * (b.bit_length() - 1) for b, e in self._factors)
+    def _expand(self) -> int:
+        """The finite value as one int, whatever its size."""
+        out = 1
+        for base, exp in self._factors:
+            out *= base ** exp
+        return out
 
     def to_int(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> Optional[int]:
         """Expand to a plain integer, or None when past the digit cap."""
         if self._infinite:
             return None
-        straddles = self._past_cap(max_digits, self._bits())
+        straddles = self._past_cap(max_digits)
         if straddles is None:
             return None
-        out = 1
-        for base, exp in self._factors:
-            out *= base ** exp
+        out = self._expand()
         if straddles and out >= 10 ** max_digits:
             return None
         return out
 
-    def _decimal(self, max_digits: int) -> Optional[str]:
+    def _decimal(self, max_digits: int, bases: Optional[List[str]] = None) -> Optional[str]:
         """Exact decimal string of a finite value, or None past the digit
-        cap; values past _DECIMAL_SPLIT_BITS expand as libmpdec powers of
-        their factors, never as one int."""
-        bits = self._bits()
-        if bits <= _DECIMAL_SPLIT_BITS:
-            value = self.to_int(max_digits)
-            return None if value is None else decimal(value)
-        straddles = self._past_cap(max_digits, bits)
+        cap; nothing surely past the cap is expanded.  When `bases` is a
+        list and the value is expanded, the decimal strings of its bases are
+        appended to it."""
+        straddles = self._past_cap(max_digits)
         if straddles is None:
             return None
-        out = _decimal_product(self._factors)
+        if self._bits <= _DECIMAL_LEAF_BITS:
+            # at most 617 digits: below every non-zero int -> str limit
+            if bases is not None:
+                bases.extend(str(b) for b, _ in self._factors)
+            text = str(self._expand())
+            return None if straddles and len(text) > max_digits else text
+        out = _decimal_product(self._factors, bases)
         if straddles and out.adjusted() + 1 > max_digits:
             return None
+        if bases and len(self._factors) == 1 and self._factors[0][1] == 1:
+            return bases[0]  # the value is its one base: share the string
         return str(out)
 
     # -- certified log10 ---------------------------------------------------
@@ -387,6 +438,8 @@ class BoundValue:
             return self._infinite and o._infinite
         if self._factors == o._factors:
             return True
+        if self._bits <= _SMALL_BITS and o._bits <= _SMALL_BITS:
+            return self._expand() == o._expand()
         basis = _coprime_basis([b for b, _ in self._factors] + [b for b, _ in o._factors])
         return self._canonical_vector(basis) == o._canonical_vector(basis)
 
@@ -403,10 +456,13 @@ class BoundValue:
             return 1 if self._infinite else -1
         # 2^low <= value <= 2^bits, with equality at ONE's 0 = 0: only
         # strictly disjoint ranges decide
-        if self._bits() < o._low_bits():
+        if self._bits < o._low_bits:
             return -1
-        if o._bits() < self._low_bits():
+        if o._bits < self._low_bits:
             return 1
+        if self._bits <= _SMALL_BITS and o._bits <= _SMALL_BITS:
+            a, b = self._expand(), o._expand()
+            return (a > b) - (a < b)
         if self == o:
             return 0
         # equal values were caught above, and a nonzero linear form in
@@ -460,17 +516,19 @@ class BoundValue:
     def __repr__(self):
         if self._infinite:
             return "BoundValue.INF"
-        return f"BoundValue({list(self._factors)!r})"
+        # decimal(), not int repr: bases can pass the int -> str digit limit
+        pairs = ", ".join(f"({decimal(b)}, {decimal(e)})" for b, e in self._factors)
+        return f"BoundValue([{pairs}])"
 
     def to_json(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> dict:
         if self._infinite:
             return {"infinite": True, "factors": None, "log10": None, "decimal": None}
-        text = self._decimal(max_digits)
+        bases: List[str] = []
+        text = self._decimal(max_digits, bases)
         lo, hi = self.log10_interval()
-        if text is not None and len(self._factors) == 1 and self._factors[0][1] == 1:
-            factors = [[text, "1"]]  # the value is its one base, already rendered
-        else:
-            factors = [[decimal(b), decimal(e)] for b, e in self._factors]
+        if len(bases) != len(self._factors):  # past the cap: not expanded
+            bases = [decimal(b) for b, _ in self._factors]
+        factors = [[s, decimal(e)] for s, (_, e) in zip(bases, self._factors)]
         return {"infinite": False, "factors": factors, "log10": [lo, hi], "decimal": text}
 
 

@@ -220,6 +220,11 @@ class BoundTriple:
     def __str__(self):
         return f"(J<={self.j}, Rkf<={self.rkf}, Bd<={render_order(self.bd)})"
 
+    def __repr__(self):
+        # decimal(), not int repr: an order bound can pass the int -> str limit
+        bd = None if self.bd is None else boundvalue.decimal(self.bd)
+        return f"BoundTriple(j={self.j!r}, rkf={self.rkf}, bd={bd})"
+
     def to_json(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> dict:
         return {"j": self.j.to_json(max_digits), "rkf": str(self.rkf),
                 "bd": render_order(self.bd)}

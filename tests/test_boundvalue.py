@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jordanbounds import boundvalue
@@ -433,8 +433,208 @@ def test_a_straddling_digit_cap_is_decided_exactly_past_the_split(int_str_limit)
     for value in (below, power):
         # at a cap of k digits the certified logarithm cannot tell: only the
         # expansion decides
-        assert value._past_cap(k, value._bits()) is True
+        assert value._past_cap(k) is True
     assert _renders_like_to_int(below, k)
     assert not _renders_like_to_int(power, k)
     assert _renders_like_to_int(power, k + 1)
     assert not _renders_like_to_int(below, k - 1)
+
+
+# --- input validation -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("factors", [
+    [(2.9, 3)], [(2, 3.0)], [(8.0, 1)], [("12", 1)], [(2, "3")],
+    [(True, 1)], [(2, True)], [(2, False)], [(None, 1)],
+])
+def test_non_integer_factors_are_refused(factors):
+    with pytest.raises(ValueError, match="must be ints"):
+        BoundValue(factors)
+
+
+@pytest.mark.parametrize("n", [7.5, 7.0, "12", True, False, None])
+def test_from_int_refuses_non_integers(n):
+    with pytest.raises(ValueError, match="takes an int"):
+        BoundValue.from_int(n)
+
+
+def test_from_int_builds_its_one_factor():
+    assert BoundValue.from_int(12).factors == ((12, 1),)
+    assert BoundValue.from_int(1).factors == () and BoundValue.from_int(1).is_one
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            BoundValue.from_int(n)
+    for n in (2, 3, 255, 256, 2 ** 64 + 1):
+        value = BoundValue.from_int(n)
+        assert (value._low_bits, value._bits) == (n.bit_length() - 1, n.bit_length())
+
+
+@pytest.mark.parametrize("exponent", [2.9, 2.0, "2", True, None])
+def test_pow_refuses_non_integer_exponents(exponent):
+    with pytest.raises(ValueError, match="must be an int"):
+        BoundValue.from_int(5).pow(exponent)
+    with pytest.raises(ValueError, match="must be an int"):
+        BoundValue.from_int(5) ** exponent
+
+
+def test_bools_and_floats_are_not_coerced():
+    assert (BoundValue.from_int(1) == True) is False  # noqa: E712
+    assert BoundValue.from_int(3) == 3
+    with pytest.raises(TypeError):
+        BoundValue.from_int(2) * 2.0
+    with pytest.raises(TypeError):
+        BoundValue.from_int(2).compare(True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2 ** 70), st.integers(0, 40)), max_size=4),
+       st.integers(0, 5))
+def test_bit_bounds_are_kept_through_arithmetic(factors, k):
+    value = BoundValue(factors)
+    for v in (value, value * value, value.pow(k), value * BoundValue.from_int(k + 1)):
+        exact = v.to_int()
+        assert 2 ** v._low_bits <= exact <= 2 ** v._bits
+        assert v._bits == sum(e * b.bit_length() for b, e in v.factors)
+        assert v._low_bits == sum(e * (b.bit_length() - 1) for b, e in v.factors)
+
+
+# --- repr past the int -> str digit limit ---------------------------------------
+
+
+def test_repr_of_a_base_past_the_str_digit_limit(int_str_limit):
+    base = 7 ** 6000  # 5071 digits
+    sys.set_int_max_str_digits(0)
+    want = f"BoundValue([(2, 10000000), ({base}, 3)])"
+    value = BoundValue([(base, 3), (2, 10 ** 7)])
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    assert repr(value) == want
+    assert sys.get_int_max_str_digits() == 4300
+    assert repr(BoundValue([(2, 3), (3, 1)])) == "BoundValue([(2, 3), (3, 1)])"
+    assert repr(ONE) == "BoundValue([])" and repr(INF) == "BoundValue.INF"
+
+
+# --- one rendering path ---------------------------------------------------------
+
+
+@st.composite
+def rendered_values(draw):
+    """Values of one to four factors, at most about 60,000 bits, with small
+    bases, bases near and past the 2,048-bit leaf, and exponent 1 or more."""
+    factors, budget = [], 60_000
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["small", "medium", "leaf", "large"]))
+        if kind == "small":
+            base = draw(st.integers(2, 1000))
+        elif kind == "medium":
+            base = draw(st.integers(2, 2 ** 1500))
+        elif kind == "leaf":
+            base = draw(st.integers(2 ** 2040, 2 ** 2056))
+        else:
+            base = draw(st.integers(2 ** 2048, 2 ** 12_000))
+        most = max(1, budget // (2 * base.bit_length()))
+        exp = draw(st.integers(1, min(most, 50) if kind != "small" else most))
+        budget -= exp * base.bit_length()
+        factors.append((base, exp))
+        if budget <= 0:
+            break
+    return BoundValue(factors)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rendered_values())
+def test_render_and_json_take_their_strings_from_one_conversion(int_str_limit, value):
+    sys.set_int_max_str_digits(0)
+    exact = str(value._expand())
+    digits = len(exact)
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    bases = [[boundvalue.decimal(b), boundvalue.decimal(e)] for b, e in value.factors]
+    for cap in (1_000_000, digits):
+        data = value.to_json(cap)
+        assert value.render(cap) == data["decimal"] == exact
+        assert data["factors"] == bases
+    data = value.to_json(digits - 1)
+    assert data["decimal"] is None and value.render(digits - 1).endswith("])")
+    assert data["factors"] == bases
+    assert sys.get_int_max_str_digits() == 4300
+
+
+# --- small values compare as ints -----------------------------------------------
+
+
+def _sign(a: int, b: int) -> int:
+    return (a > b) - (a < b)
+
+
+def _near_ties(bits):
+    """Pairs one unit apart and equal pairs written differently, whose
+    larger member has `bits` bits."""
+    top = (1 << bits) - 1  # bits bits, as one int
+    three = 3 ** math.floor((bits - 1) / math.log2(3))
+    return [
+        (BoundValue.from_int(top), BoundValue.from_int(top - 1)),
+        (BoundValue.from_int(1 << (bits - 1)), BoundValue.from_int((1 << (bits - 1)) + 1)),
+        (BoundValue([(2, 1), (1 << (bits - 2), 1)]), BoundValue.from_int((1 << (bits - 1)) - 1)),
+        (BoundValue.from_int(three), BoundValue.from_int(three + 1)),
+        (BoundValue.from_int(three - 1), BoundValue.from_int(three)),
+        (BoundValue.from_int(6) * BoundValue.from_int(top // 6),
+         BoundValue.from_int(6 * (top // 6))),
+    ]
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+def test_near_ties_at_the_small_value_threshold_match_int(offset):
+    bits = boundvalue._SMALL_BITS + offset
+    pairs = _near_ties(bits)
+    assert pairs[0][0]._bits == bits  # on the side of the threshold meant
+    for a, b in pairs:
+        ia, ib = a._expand(), b._expand()
+        assert a.compare(b) == _sign(ia, ib) and b.compare(a) == _sign(ib, ia)
+        assert (a == b) == (ia == ib) and (b == a) == (ia == ib)
+
+
+def test_equal_values_written_differently_compare_equal():
+    forms = [BoundValue([(4, 3)]), BoundValue([(2, 6)]), BoundValue([(8, 2)]),
+             BoundValue.from_int(64), BoundValue([(2, 2), (4, 2)])]
+    for a in forms:
+        for b in forms:
+            assert a == b and a.compare(b) == 0
+    # the same past the threshold, where the coprime basis decides
+    big = [BoundValue([(4, 3000)]), BoundValue([(2, 6000)]), BoundValue([(8, 2000)])]
+    assert all(v._bits > boundvalue._SMALL_BITS for v in big)
+    for a in big:
+        for b in big:
+            assert a == b and a.compare(b) == 0
+
+
+def test_small_values_compare_without_basis_or_logarithm(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coprime basis or logarithm taken")
+
+    monkeypatch.setattr(boundvalue, "_log2_bounds", refuse)
+    monkeypatch.setattr(boundvalue, "_coprime_basis", refuse)
+    a = BoundValue([(3, 1000), (5, 2)])  # 1,591 bits
+    b = BoundValue([(2, 1580), (7, 1)])
+    assert a.compare(b) == _sign(a._expand(), b._expand())
+    assert BoundValue([(9, 50)]) == BoundValue([(3, 100)])
+    assert BoundValue([(6, 2)]).compare(BoundValue([(4, 1), (9, 1)])) == 0
+
+
+def test_values_past_the_small_value_threshold_are_never_expanded(monkeypatch):
+    expand = BoundValue._expand
+
+    def guarded(self):
+        if self._bits > boundvalue._SMALL_BITS:
+            raise AssertionError("a value past the threshold was expanded")
+        return expand(self)
+
+    monkeypatch.setattr(BoundValue, "_expand", guarded)
+    three = BoundValue([(3, 3000)])  # 4,755 bits
+    two = BoundValue([(2, 4755)])  # 3^3000 < 2^4755
+    assert three._bits > boundvalue._SMALL_BITS
+    assert three.compare(two) == -1 and two.compare(three) == 1
+    assert three != two and two != three
+    assert BoundValue([(4, 3000)]).compare(BoundValue([(2, 6000)])) == 0
+    small = BoundValue.from_int(2 ** 100)
+    assert three.compare(small) == 1 and small.compare(three) == -1
+    assert bv_min(two, three) == three

@@ -237,6 +237,24 @@ def test_an_order_bound_past_the_str_digit_limit_renders(int_str_limit):
     assert triple.to_json(max_digits=100)["bd"] == bd
 
 
+def test_reprs_past_the_str_digit_limit(int_str_limit):
+    sys.set_int_max_str_digits(0)
+    gl48 = str(calc.gl_jordan_bound(48))
+    gl64 = str(calc.gl_jordan_bound(64))
+    bd = str(minkowski_bound(1200) ** 2)
+    assert min(len(gl48), len(gl64), len(bd)) > 4300
+    sys.set_int_max_str_digits(4300)  # the interpreter's default limit
+    value = BoundValue.from_int(calc.gl_jordan_bound(48))
+    assert repr(value) == f"BoundValue([({gl48}, 1)])"
+    triple = make_triple(value, 48, None)
+    assert repr(triple) == f"BoundTriple(j=BoundValue([({gl48}, 1)]), rkf=48, bd=None)"
+    triple, trace = dsl.evaluate(dsl.parse("gl(64)"))
+    assert f"({gl64}, 1)" in repr(trace.steps[-1])
+    triple, _ = dsl.evaluate(dsl.parse("product(gl_q(1200), gl_q(1200))"))
+    assert repr(triple).endswith(f", bd={bd})")
+    assert sys.get_int_max_str_digits() == 4300
+
+
 # --- combination rules ----------------------------------------------------------
 
 
