@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
@@ -304,14 +303,13 @@ def quotient_invariants(moduli: Moduli, sub: int) -> Tuple[int, ...]:
 # --- canonical presentation ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Z_{d1} x ... x Z_{dk} with d1 | d2 | ... | dk and every di > 1."""
 
-    factors: Tuple[int, ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        fs = tuple(int(d) for d in self.factors)
+    def __init__(self, factors: Iterable[int] = ()):
+        fs = tuple(int(d) for d in factors)
         object.__setattr__(self, "factors", fs)
         for d in fs:
             if d <= 1:
@@ -319,6 +317,22 @@ class FiniteAbelianGroup:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a divisor chain: {fs}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("FiniteAbelianGroup is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteAbelianGroup:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"FiniteAbelianGroup(factors={self.factors!r})"
 
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "FiniteAbelianGroup":

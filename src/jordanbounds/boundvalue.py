@@ -431,6 +431,8 @@ class BoundValue:
         return tuple(sorted((p, e) for p, e in out.items() if e))
 
     def __eq__(self, other):
+        if type(other) is int and other < 1:
+            return False  # no BoundValue is below 1
         o = self._coerce(other)
         if o is NotImplemented:
             return o

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from . import boundvalue
@@ -195,27 +194,30 @@ def _order_product(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return None if a is None or b is None else a * b
 
 
-@dataclass(frozen=True)
 class BoundTriple:
     """(Jordan bound, finite-abelian rank bound, finite-subgroup order bound);
     bd is None when finite subgroups of unbounded order exist."""
 
-    j: BoundValue
-    rkf: int
-    bd: Optional[int]
+    __slots__ = ("j", "rkf", "bd")
 
-    __hash__ = None
-
-    def __post_init__(self):
+    def __init__(self, j: BoundValue, rkf: int, bd: Optional[int]):
         # j >= 1 holds by construction: BoundValue admits no base below 1
         # and no negative exponent
-        if self.rkf < 0:
+        if rkf < 0:
             raise ValueError("rank bound must be non-negative")
-        if self.bd is not None:
-            if self.bd < 1:
+        if bd is not None:
+            if bd < 1:
                 raise ValueError("order bound must be at least 1")
-            if self.j.compare(BoundValue.from_int(self.bd)) > 0:
+            if j.compare(BoundValue.from_int(bd)) > 0:
                 raise ValueError("Jordan bound may not exceed a finite order bound")
+        self.j = j
+        self.rkf = rkf
+        self.bd = bd
+
+    def __eq__(self, other):
+        if other.__class__ is not BoundTriple:
+            return NotImplemented
+        return (self.j, self.rkf, self.bd) == (other.j, other.rkf, other.bd)
 
     def __str__(self):
         return f"(J<={self.j}, Rkf<={self.rkf}, Bd<={render_order(self.bd)})"
@@ -244,15 +246,33 @@ TRIVIAL_TRIPLE = BoundTriple(BV_ONE, 0, 1)
 # --- derivation traces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    op: str           # the rule's fixed name
-    rule: str         # short rule label
-    statement: str    # the mathematical fact used, self-contained
-    inputs: tuple
-    output: object
-    # recomputes output from inputs, with the caps of the call that made it
-    redo: Callable = field(compare=False, repr=False)
+    """One rule application: the rule's fixed name `op`, a short `rule`
+    label, the self-contained mathematical `statement` used, its `inputs`
+    and `output`, and `redo`, which recomputes the output from the inputs
+    with the caps of the call that made it (left out of == and repr)."""
+
+    __slots__ = ("op", "rule", "statement", "inputs", "output", "redo")
+
+    def __init__(self, op: str, rule: str, statement: str, inputs: tuple, output,
+                 redo: Callable):
+        self.op = op
+        self.rule = rule
+        self.statement = statement
+        self.inputs = inputs
+        self.output = output
+        self.redo = redo
+
+    def __eq__(self, other):
+        if other.__class__ is not TraceStep:
+            return NotImplemented
+        return ((self.op, self.rule, self.statement, self.inputs, self.output)
+                == (other.op, other.rule, other.statement, other.inputs, other.output))
+
+    def __repr__(self):
+        return (f"TraceStep(op={self.op!r}, rule={self.rule!r}, "
+                f"statement={self.statement!r}, inputs={self.inputs!r}, "
+                f"output={self.output!r})")
 
     def to_json(self) -> dict:
         return {
@@ -264,9 +284,21 @@ class TraceStep:
         }
 
 
-@dataclass
 class DerivationTrace:
-    steps: List[TraceStep] = field(default_factory=list)
+    """The steps of one derivation, in the order they were made."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: Optional[List[TraceStep]] = None):
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other):
+        if other.__class__ is not DerivationTrace:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __repr__(self):
+        return f"DerivationTrace(steps={self.steps!r})"
 
     def add(self, op: str, rule: str, statement: str, inputs: tuple, output,
             redo: Callable) -> None:

@@ -11,11 +11,10 @@ cap: their cost grows fast with n, and gl_jordan_bound(1024) takes about
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Default resource limits.
 
     enumeration_dim      largest total dimension for semisimple enumeration
@@ -63,11 +62,10 @@ def load_caps(path: str) -> Caps:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"caps file {path} must hold a JSON object, got {data!r}")
-    known = {f.name for f in fields(Caps)}
-    unknown = set(data) - known
+    unknown = set(data) - set(Caps._fields)
     if unknown:
         raise ValueError(f"unknown cap names in {path}: {sorted(unknown)}")
     for key, val in data.items():
         if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise ValueError(f"cap {key} must be a positive integer, got {val!r}")
-    return replace(DEFAULT_CAPS, **data)
+    return DEFAULT_CAPS._replace(**data)

@@ -14,7 +14,6 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from . import abelian
@@ -25,14 +24,29 @@ from .rootsystems import SimpleType, admissible_types, build_root_system
 Element = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SemisimpleType:
     """A multiset of simple types: the simply connected semisimple groups."""
 
-    factors: Tuple[SimpleType, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+    def __init__(self, factors: Iterable[SimpleType]):
+        object.__setattr__(self, "factors", tuple(sorted(factors)))
+
+    def __setattr__(self, *a):
+        raise AttributeError("SemisimpleType is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not SemisimpleType:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"SemisimpleType(factors={self.factors!r})"
 
     @property
     def dim(self) -> int:
@@ -75,7 +89,6 @@ class SemisimpleType:
         return "x".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
 class IsogenyClass:
     """A quotient of a simply connected semisimple group by a central subgroup.
 
@@ -83,16 +96,33 @@ class IsogenyClass:
     element of the center, with coordinates modulo `base.center_moduli`,
     in lexicographic order."""
 
-    base: SemisimpleType
-    kernel: int
+    # no __slots__: kernel_generators is cached in the instance __dict__
 
-    def __post_init__(self):
+    def __init__(self, base: SemisimpleType, kernel: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "kernel", kernel)
         # kernel_generators rejects a mask without the identity or with bits
         # past the center order; the generators, the ones name() prints,
         # give back exactly the kernel only if it is a subgroup
         if abelian.subgroup_closure(self.kernel_generators,
-                                    self.base.center_moduli) != self.kernel:
+                                    base.center_moduli) != kernel:
             raise ValueError("kernel is not closed under the group law")
+
+    def __setattr__(self, *a):
+        raise AttributeError("IsogenyClass is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not IsogenyClass:
+            return NotImplemented
+        return self.base == other.base and self.kernel == other.kernel
+
+    def __hash__(self):
+        return hash((self.base, self.kernel))
+
+    def __repr__(self):
+        return f"IsogenyClass(base={self.base!r}, kernel={self.kernel!r})"
 
     @classmethod
     def from_generators(cls, base: SemisimpleType, gens: Iterable[Element]) -> "IsogenyClass":

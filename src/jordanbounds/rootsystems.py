@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .abelian import FiniteAbelianGroup
 from .caps import CapExceeded
@@ -33,19 +32,18 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 ROOT_SYSTEM_MAX_RANK = 64  # memory guard for reflection closure
 
 
-@dataclass(frozen=True, order=True)
 class SimpleType:
-    """One of the simple Dynkin types A..G at an admissible rank.
+    """One of the simple Dynkin types A..G at an admissible rank, ordered by
+    (family, rank).
 
     Low-rank coincidences (B2 = C2, A3 = D3, ...) are excluded by the rank
     constraints, so each isomorphism class appears exactly once.
     """
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
+    def __init__(self, family: str, rank: int):
+        fam = family
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
         if fam in _MIN_RANK:
@@ -58,6 +56,44 @@ class SimpleType:
             raise ValueError(f"F{rank} is inadmissible: only F4 exists")
         elif fam == "G" and rank != 2:
             raise ValueError(f"G{rank} is inadmissible: only G2 exists")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SimpleType is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __lt__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return (self.family, self.rank) < (other.family, other.rank)
+
+    def __le__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return (self.family, self.rank) <= (other.family, other.rank)
+
+    def __gt__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return (self.family, self.rank) > (other.family, other.rank)
+
+    def __ge__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return (self.family, self.rank) >= (other.family, other.rank)
+
+    def __repr__(self):
+        return f"SimpleType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
@@ -124,17 +160,32 @@ def admissible_types(max_rank: int) -> List[SimpleType]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class DominantWeight:
     """Non-negative coordinates in the fundamental-weight basis."""
 
-    coords: Tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coords)
+    def __init__(self, coords: Iterable[int]):
+        cs = tuple(int(c) for c in coords)
         object.__setattr__(self, "coords", cs)
         if any(c < 0 for c in cs):
             raise ValueError(f"dominant weight needs non-negative coordinates: {cs}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("DominantWeight is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not DominantWeight:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"DominantWeight(coords={self.coords!r})"
 
     @classmethod
     def parse(cls, text: str) -> "DominantWeight":
@@ -347,12 +398,31 @@ def weyl_dim(simple_type: SimpleType, weight: DominantWeight) -> int:
     return build_root_system(simple_type).weyl_dim(weight)
 
 
-@dataclass(frozen=True)
 class CentralCharacter:
-    """A homomorphism from the (finite) center to Q/Z."""
+    """A homomorphism from the (finite) center to Q/Z, given by its values on
+    the center's canonical generators, each in [0,1)."""
 
-    center: FiniteAbelianGroup
-    values: Tuple[Fraction, ...]  # on the canonical generators, in [0,1)
+    __slots__ = ("center", "values")
+
+    def __init__(self, center: FiniteAbelianGroup, values: Tuple[Fraction, ...]):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CentralCharacter is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not CentralCharacter:
+            return NotImplemented
+        return self.center == other.center and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.center, self.values))
+
+    def __repr__(self):
+        return f"CentralCharacter(center={self.center!r}, values={self.values!r})"
 
     def __call__(self, element: Tuple[int, ...]) -> Fraction:
         if len(element) != len(self.center.factors):

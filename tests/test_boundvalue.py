@@ -43,6 +43,17 @@ def test_equality_is_mathematical():
     assert BoundValue.from_int(10).pow(10 ** 6) == BoundValue.from_int(100).pow(500_000)
 
 
+@pytest.mark.parametrize("value", [ONE, BoundValue.from_int(5), INF])
+def test_equality_with_an_int_below_one_is_false(value):
+    # no BoundValue is below 1, so == answers False where from_int would raise
+    for n in (0, -3):
+        assert not value == n and value != n
+        assert not n == value and n != value
+    # ordering still refuses what from_int refuses
+    with pytest.raises(ValueError, match="BoundValue must be >= 1"):
+        value < 0
+
+
 def test_comparisons():
     assert BoundValue.from_int(2).pow(100) < BoundValue.from_int(3).pow(100)
     assert BoundValue.from_int(2).pow(1000) > BoundValue.from_int(10).pow(300)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -441,7 +440,7 @@ def test_readme_caps_table_matches_caps_fields():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 3:
             rows[cells[0].strip("`")] = int(cells[1])
-    assert rows == {f.name: f.default for f in dataclasses.fields(Caps)}
+    assert rows == Caps._field_defaults
 
 
 def test_readme_layout_lists_every_module():
@@ -506,27 +505,27 @@ def test_repeat_runs_bit_identical():
     assert a.stdout == b.stdout
 
 
-# each cold verb imports only the modules it runs: (argv, modules it must not load)
+# each cold verb imports only the modules it runs: (argv, modules it must not load);
+# only `bound dsl` and `finite` load dataclasses, for the records of dsl and permgroups
 _NOT_CALCULUS = ("jordanbounds.calculus", "jordanbounds.boundvalue", "jordanbounds.dsl",
-                 "jordanbounds.permgroups", "mpmath")
+                 "jordanbounds.permgroups", "mpmath", "dataclasses")
 _NOT_ENUMERATION = ("jordanbounds.enumeration", "jordanbounds.abelian",
                     "jordanbounds.rootsystems", "jordanbounds.dsl", "jordanbounds.permgroups",
-                    "mpmath")
+                    "mpmath", "dataclasses")
+_NOT_DSL_OR_FINITE = ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath", "dataclasses")
 COLD_CASES = [
     (["catalog"], _NOT_CALCULUS),
     (["nfun", "--dim", "12"], _NOT_CALCULUS),
     (["enumerate", "--json", "--dim", "12"], _NOT_CALCULUS),
     (["cnbound", "--n", "64"], _NOT_ENUMERATION),
     (["minkowski", "--n", "64"], _NOT_ENUMERATION),
-    (["sbound", "--dim", "12"], ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["sbound", "--dim", "12"], _NOT_DSL_OR_FINITE),
     (["bound", "dsl", "--expr", "semisimple([A1,A1,A1,A1,A1],sc)"],
      ("jordanbounds.permgroups", "mpmath")),
     # log10 enclosures and magnitude comparisons need no mpmath either
-    (["--json", "--trace", "bound", "aut0", "--dim", "1"],
-     ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
-    (["--json", "bound", "aut0", "--dim", "2"],
-     ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
-    (["bound", "aut0", "--dim", "2"], ("jordanbounds.dsl", "jordanbounds.permgroups", "mpmath")),
+    (["--json", "--trace", "bound", "aut0", "--dim", "1"], _NOT_DSL_OR_FINITE),
+    (["--json", "bound", "aut0", "--dim", "2"], _NOT_DSL_OR_FINITE),
+    (["bound", "aut0", "--dim", "2"], _NOT_DSL_OR_FINITE),
     (["--json", "finite", "verify", "--file", "corpus/s5.grp", "--context", "connected_dim:4"],
      ("jordanbounds.dsl", "mpmath")),
     (["--json", "--trace", "bound", "dsl", "--expr", "product(gl(40), torus(3))"],
@@ -550,6 +549,16 @@ def test_cold_verb_imports_only_its_modules(capsys, monkeypatch, argv, absent):
     *lines, loaded = out.stdout.decode().splitlines()
     assert loaded == "[]"
     assert run_cli(capsys, *argv) == (0, "".join(line + "\n" for line in lines), "")
+
+
+def test_verb_modules_do_not_import_dataclasses():
+    # the records on every verb's path are written out by hand: importing
+    # dataclasses (and inspect under it) costs a cold start about 6 ms
+    out = _run_fresh([sys.executable, "-c",
+                      "import sys, jordanbounds.cli, jordanbounds.enumeration, "
+                      "jordanbounds.calculus\n"
+                      "assert 'dataclasses' not in sys.modules, 'dataclasses imported'\n"])
+    assert out.returncode == 0, out.stderr
 
 
 # the names the package exported eagerly, by defining submodule
