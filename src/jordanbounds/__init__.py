@@ -21,7 +21,7 @@ _SUBMODULE = {name: module for module, names in (
     ("calculus", "BoundTriple DerivationTrace aut0_jordan_bound aut0_rank_bound "
                  "aut0_triple combine_extension combine_product "
                  "connected_jordan_bound connected_rank_bound connected_triple "
-                 "gl_jordan_bound leaf_triple make_triple minkowski_bound "
+                 "gl_jordan_bound leaf_triple minkowski_bound "
                  "rank_bound_mod_commutator semisimple_jordan_bound"),
     ("caps", "Caps CapExceeded DEFAULT_CAPS load_caps"),
     ("dsl", "GroupExpr ParseError evaluate parse parse_file_text print_expr"),

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .records import Record
 
 Element = Tuple[int, ...]
 Moduli = Tuple[int, ...]
@@ -150,21 +151,9 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[int]:
         raise CapExceeded(f"center order on moduli {moduli}", caps.center_order,
                           observed=order, module="abelian")
     t = _Translations(moduli)
-
-    def replay(sub: int) -> Iterator[Tuple[int, int]]:
-        """(<sub, z>, charge) for each z outside sub, in code order."""
-        owner: Dict[int, Tuple[int, int]] = {}
-        for z in range(order):
-            if not sub >> z & 1:
-                if z not in owner:
-                    coset, bigger, charge = t.close(sub, z)
-                    owner.update(dict.fromkeys(_codes(coset), (bigger, charge)))
-                yield owner[z]
-
     # work guard: each z outside sub is charged the nominal cost of <sub, z>,
-    # so that caps trip where they always have although the closures here
-    # are cheaper; lattices that explode must fail fast rather than grind to
-    # the count cap
+    # although the closures here are cheaper; lattices that explode must
+    # fail fast rather than grind to the count cap
     work_budget = 512 * caps.subgroup_count
     work = 0
     subs = {1}
@@ -174,20 +163,13 @@ def _all_subgroups(moduli: Moduli, caps: Caps) -> List[int]:
         for sub in frontier:
             size = sub.bit_count()
             # every z in a coset sub + z gives the same <sub, z> and charge,
-            # so close once per coset, at its lowest element: that is where
-            # a walk over z in code order first meets it
-            cosets = []
-            upper = work
+            # so close once per coset, at its lowest element, and charge the
+            # whole coset there
             rest = t.full ^ sub
-            while rest and upper <= work_budget:
+            while rest:
                 coset, bigger, charge = t.close(sub, (rest & -rest).bit_length() - 1)
-                cosets.append((bigger, charge * size))
-                upper += charge * size
                 rest ^= coset
-            # only the subgroup where the guard trips is walked one z at a
-            # time, so it trips at the same z with the same count
-            for bigger, charge in (cosets if upper <= work_budget else replay(sub)):
-                work += charge
+                work += charge * size
                 if work > work_budget:
                     raise CapExceeded(f"subgroup enumeration work on moduli {moduli}",
                                       work_budget, observed=len(subs), module="abelian")
@@ -303,10 +285,10 @@ def quotient_invariants(moduli: Moduli, sub: int) -> Tuple[int, ...]:
 # --- canonical presentation ----------------------------------------------
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Z_{d1} x ... x Z_{dk} with d1 | d2 | ... | dk and every di > 1."""
 
-    __slots__ = ("factors",)
+    __slots__ = _fields = ("factors",)
 
     def __init__(self, factors: Iterable[int] = ()):
         fs = tuple(int(d) for d in factors)
@@ -317,22 +299,6 @@ class FiniteAbelianGroup:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a divisor chain: {fs}")
-
-    def __setattr__(self, *a):
-        raise AttributeError("FiniteAbelianGroup is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not FiniteAbelianGroup:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return f"FiniteAbelianGroup(factors={self.factors!r})"
 
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "FiniteAbelianGroup":

@@ -536,11 +536,3 @@ class BoundValue:
 
 ONE = BoundValue()
 INF = BoundValue(infinite=True)
-
-
-def bv_min(*values: BoundValue) -> BoundValue:
-    best = values[0]
-    for v in values[1:]:
-        if v.compare(best) < 0:
-            best = v
-    return best

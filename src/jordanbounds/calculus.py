@@ -24,7 +24,7 @@ import operator
 from typing import Callable, List, Optional, Tuple
 
 from . import boundvalue
-from .boundvalue import BoundValue, bv_min
+from .boundvalue import BoundValue
 from .caps import Caps, DEFAULT_CAPS
 
 # E(n) is imported on first use, so the closed GL forms (cnbound, minkowski)
@@ -196,7 +196,9 @@ def _order_product(a: Optional[int], b: Optional[int]) -> Optional[int]:
 
 class BoundTriple:
     """(Jordan bound, finite-abelian rank bound, finite-subgroup order bound);
-    bd is None when finite subgroups of unbounded order exist."""
+    bd is None when finite subgroups of unbounded order exist.  A finite
+    order bound also bounds the Jordan constant (take the trivial abelian
+    subgroup), so j is clamped to bd; on a tie the given j is kept."""
 
     __slots__ = ("j", "rkf", "bd")
 
@@ -208,8 +210,9 @@ class BoundTriple:
         if bd is not None:
             if bd < 1:
                 raise ValueError("order bound must be at least 1")
-            if j.compare(BoundValue.from_int(bd)) > 0:
-                raise ValueError("Jordan bound may not exceed a finite order bound")
+            order = BoundValue.from_int(bd)
+            if j.compare(order) > 0:
+                j = order
         self.j = j
         self.rkf = rkf
         self.bd = bd
@@ -230,14 +233,6 @@ class BoundTriple:
     def to_json(self, max_digits: int = DEFAULT_CAPS.decimal_digits) -> dict:
         return {"j": self.j.to_json(max_digits), "rkf": str(self.rkf),
                 "bd": render_order(self.bd)}
-
-
-def make_triple(j: BoundValue, rkf: int, bd: Optional[int]) -> BoundTriple:
-    """Normalising constructor: a finite order bound also bounds the Jordan
-    constant (take the trivial abelian subgroup), so j is clamped to bd."""
-    if bd is not None:
-        j = bv_min(j, BoundValue.from_int(bd))
-    return BoundTriple(j, rkf, bd)
 
 
 TRIVIAL_TRIPLE = BoundTriple(BV_ONE, 0, 1)
@@ -360,17 +355,17 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
     if param < 0:
         raise ValueError(f"{kind} parameter must be non-negative")
     if kind == "torus":
-        return make_triple(BV_ONE, param, None)
+        return BoundTriple(BV_ONE, param, None)
     if kind == "unipotent":
-        return make_triple(BV_ONE, 0, 1)
+        return BoundTriple(BV_ONE, 0, 1)
     if kind == "abelian_variety":
-        return make_triple(BV_ONE, 2 * param, None)
+        return BoundTriple(BV_ONE, 2 * param, None)
     if kind == "finite":
         if param < 1:
             raise ValueError("finite group order must be at least 1")
-        return make_triple(BoundValue.from_int(param), param.bit_length() - 1, param)
+        return BoundTriple(BoundValue.from_int(param), param.bit_length() - 1, param)
     if kind == "gl_field":
-        return make_triple(BoundValue.from_int(gl_jordan_bound(param)), param, None)
+        return BoundTriple(BoundValue.from_int(gl_jordan_bound(param)), param, None)
     if kind == "gl_rational":
         if param < 1:
             raise ValueError("rational general linear leaf needs dimension >= 1")
@@ -379,9 +374,9 @@ def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple
         # the clamp to bd keeps bd whenever bd has no more bits than that
         k = (math.isqrt(8 * param) + 1).bit_length() - 1
         j = bd if bd.bit_length() <= 2 * param * param * k else gl_jordan_bound(param)
-        return make_triple(BoundValue.from_int(j), param, bd)
+        return BoundTriple(BoundValue.from_int(j), param, bd)
     # semisimple leaf: param is the total dimension of the class
-    return make_triple(semisimple_jordan_bound(param, caps),
+    return BoundTriple(semisimple_jordan_bound(param, caps),
                        _embedding_dim(param, caps), None)
 
 
@@ -447,13 +442,13 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
         for r, s, cand in candidates[1:]:
             if cand.compare(j) < 0:
                 rule, statement, j = r, s, cand
-        out = make_triple(j, rkf, bd)
+        out = BoundTriple(j, rkf, bd)
         trace.add("combine_extension", f"extension: {rule}",
                   statement + "; Rk_f(G) <= Rk_f(G1) + Rk_f(G2); "
                               "Bd(G) <= Bd(G1) * Bd(G2)",
                   (t1, t2), out, combine_extension)
     else:
-        out = make_triple(BV_INF, rkf, bd)
+        out = BoundTriple(BV_INF, rkf, bd)
         trace.add("combine_extension", "extension: no finiteness rule",
                   "neither part is constrained enough; the Jordan bound of the "
                   "extension stays unbounded; the rank and order bounds still "
@@ -465,7 +460,7 @@ def combine_extension(normal: BoundTriple, quotient: BoundTriple
 def combine_product(a: BoundTriple, b: BoundTriple) -> Tuple[BoundTriple, DerivationTrace]:
     """Fold a direct product: all three bounds are multiplicative except the
     rank, which is additive."""
-    out = make_triple(a.j * b.j, a.rkf + b.rkf, _order_product(a.bd, b.bd))
+    out = BoundTriple(a.j * b.j, a.rkf + b.rkf, _order_product(a.bd, b.bd))
     trace = DerivationTrace()
     trace.add("combine_product", "direct product",
               "J(G1 x G2) <= J(G1) * J(G2); Rk_f <= Rk_f(G1) + Rk_f(G2); "
@@ -572,7 +567,7 @@ def connected_triple(n: int, caps: Caps = DEFAULT_CAPS
     """Full triple for the family of connected groups of dimension n."""
     value, trace = connected_jordan_bound(n, caps)
     bd = 1 if n == 0 else None
-    triple = make_triple(value, connected_rank_bound(n, caps), bd)
+    triple = BoundTriple(value, connected_rank_bound(n, caps), bd)
     trace.add("connected_triple", "connected-group triple",
               "the Jordan and rank bounds assembled above; positive-dimensional "
               "groups may contain arbitrarily large finite subgroups",
@@ -638,7 +633,7 @@ def aut0_rank_bound(n: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 def aut0_triple(n: int, caps: Caps = DEFAULT_CAPS) -> Tuple[BoundTriple, DerivationTrace]:
     value, trace = aut0_jordan_bound(n, caps)
-    triple = make_triple(value, aut0_rank_bound(n, caps), None)
+    triple = BoundTriple(value, aut0_rank_bound(n, caps), None)
     trace.add("aut0_triple", "automorphism-group triple",
               "the Jordan and rank bounds assembled above",
               (n,), triple, functools.partial(aut0_triple, caps=caps))

@@ -19,34 +19,26 @@ from typing import Dict, Iterable, List, Tuple
 from . import abelian
 from .abelian import FiniteAbelianGroup
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .records import Record
 from .rootsystems import SimpleType, admissible_types, build_root_system
 
 Element = Tuple[int, ...]
 
 
-class SemisimpleType:
-    """A multiset of simple types: the simply connected semisimple groups."""
+class SemisimpleType(Record):
+    """A multiset of simple types: the simply connected semisimple groups.
 
-    __slots__ = ("factors",)
+    `center_moduli` holds the coordinate moduli of the center, one block
+    per simple factor."""
+
+    _fields = ("factors",)
+    __slots__ = ("factors", "center_moduli")
 
     def __init__(self, factors: Iterable[SimpleType]):
-        object.__setattr__(self, "factors", tuple(sorted(factors)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SemisimpleType is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not SemisimpleType:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return f"SemisimpleType(factors={self.factors!r})"
+        fs = tuple(sorted(factors))
+        object.__setattr__(self, "factors", fs)
+        object.__setattr__(self, "center_moduli",
+                           tuple(m for f in fs for m in f.center_factors))
 
     @property
     def dim(self) -> int:
@@ -55,14 +47,6 @@ class SemisimpleType:
     @property
     def is_trivial(self) -> bool:
         return not self.factors
-
-    @property
-    def center_moduli(self) -> Tuple[int, ...]:
-        """Coordinate moduli of the center: one block per simple factor."""
-        out: List[int] = []
-        for f in self.factors:
-            out.extend(f.center_factors)
-        return tuple(out)
 
     @property
     def center_blocks(self) -> List[Tuple[int, int]]:
@@ -89,40 +73,27 @@ class SemisimpleType:
         return "x".join(str(f) for f in self.factors)
 
 
-class IsogenyClass:
+class IsogenyClass(Record):
     """A quotient of a simply connected semisimple group by a central subgroup.
 
     The kernel is a mask over the center's elements: bit i is the i-th
     element of the center, with coordinates modulo `base.center_moduli`,
-    in lexicographic order."""
+    in lexicographic order.  `kernel_generators` are the ones name()
+    prints."""
 
-    # no __slots__: kernel_generators is cached in the instance __dict__
+    _fields = ("base", "kernel")
+    __slots__ = ("base", "kernel", "kernel_generators")
 
     def __init__(self, base: SemisimpleType, kernel: int):
+        # minimal_generators rejects a mask without the identity or with bits
+        # past the center order; the generators give back exactly the kernel
+        # only if it is a subgroup
+        gens = abelian.minimal_generators(kernel, base.center_moduli)
+        if abelian.subgroup_closure(gens, base.center_moduli) != kernel:
+            raise ValueError("kernel is not closed under the group law")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "kernel", kernel)
-        # kernel_generators rejects a mask without the identity or with bits
-        # past the center order; the generators, the ones name() prints,
-        # give back exactly the kernel only if it is a subgroup
-        if abelian.subgroup_closure(self.kernel_generators,
-                                    base.center_moduli) != kernel:
-            raise ValueError("kernel is not closed under the group law")
-
-    def __setattr__(self, *a):
-        raise AttributeError("IsogenyClass is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not IsogenyClass:
-            return NotImplemented
-        return self.base == other.base and self.kernel == other.kernel
-
-    def __hash__(self):
-        return hash((self.base, self.kernel))
-
-    def __repr__(self):
-        return f"IsogenyClass(base={self.base!r}, kernel={self.kernel!r})"
+        object.__setattr__(self, "kernel_generators", gens)
 
     @classmethod
     def from_generators(cls, base: SemisimpleType, gens: Iterable[Element]) -> "IsogenyClass":
@@ -131,10 +102,6 @@ class IsogenyClass:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @functools.cached_property
-    def kernel_generators(self) -> Tuple[Element, ...]:
-        return abelian.minimal_generators(self.kernel, self.base.center_moduli)
 
     def name(self) -> str:
         base = str(self.base)

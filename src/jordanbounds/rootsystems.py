@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .abelian import FiniteAbelianGroup
 from .caps import CapExceeded
+from .records import Record
 from .smith import smith_normal_form
 
 FAMILIES = "ABCDEFG"
@@ -32,7 +33,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 ROOT_SYSTEM_MAX_RANK = 64  # memory guard for reflection closure
 
 
-class SimpleType:
+@total_ordering
+class SimpleType(Record):
     """One of the simple Dynkin types A..G at an admissible rank, ordered by
     (family, rank).
 
@@ -40,7 +42,7 @@ class SimpleType:
     constraints, so each isomorphism class appears exactly once.
     """
 
-    __slots__ = ("family", "rank")
+    __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
         fam = family
@@ -59,41 +61,10 @@ class SimpleType:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SimpleType is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return self.family == other.family and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
     def __lt__(self, other):
         if other.__class__ is not SimpleType:
             return NotImplemented
         return (self.family, self.rank) < (other.family, other.rank)
-
-    def __le__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return (self.family, self.rank) <= (other.family, other.rank)
-
-    def __gt__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return (self.family, self.rank) > (other.family, other.rank)
-
-    def __ge__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return (self.family, self.rank) >= (other.family, other.rank)
-
-    def __repr__(self):
-        return f"SimpleType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
@@ -160,32 +131,16 @@ def admissible_types(max_rank: int) -> List[SimpleType]:
     return sorted(out)
 
 
-class DominantWeight:
+class DominantWeight(Record):
     """Non-negative coordinates in the fundamental-weight basis."""
 
-    __slots__ = ("coords",)
+    __slots__ = _fields = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
         cs = tuple(int(c) for c in coords)
         object.__setattr__(self, "coords", cs)
         if any(c < 0 for c in cs):
             raise ValueError(f"dominant weight needs non-negative coordinates: {cs}")
-
-    def __setattr__(self, *a):
-        raise AttributeError("DominantWeight is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not DominantWeight:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return f"DominantWeight(coords={self.coords!r})"
 
     @classmethod
     def parse(cls, text: str) -> "DominantWeight":
@@ -398,31 +353,15 @@ def weyl_dim(simple_type: SimpleType, weight: DominantWeight) -> int:
     return build_root_system(simple_type).weyl_dim(weight)
 
 
-class CentralCharacter:
+class CentralCharacter(Record):
     """A homomorphism from the (finite) center to Q/Z, given by its values on
     the center's canonical generators, each in [0,1)."""
 
-    __slots__ = ("center", "values")
+    __slots__ = _fields = ("center", "values")
 
     def __init__(self, center: FiniteAbelianGroup, values: Tuple[Fraction, ...]):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CentralCharacter is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not CentralCharacter:
-            return NotImplemented
-        return self.center == other.center and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.center, self.values))
-
-    def __repr__(self):
-        return f"CentralCharacter(center={self.center!r}, values={self.values!r})"
 
     def __call__(self, element: Tuple[int, ...]) -> Fraction:
         if len(element) != len(self.center.factors):

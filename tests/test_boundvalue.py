@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jordanbounds import boundvalue
-from jordanbounds.boundvalue import INF, ONE, BoundValue, _coprime_basis, bv_min
+from jordanbounds.boundvalue import INF, ONE, BoundValue, _coprime_basis
 
 
 def test_construction_and_identity():
@@ -64,7 +64,7 @@ def test_comparisons():
     a = BoundValue.from_int(2).pow(10 ** 6)
     b = BoundValue.from_int(2).pow(10 ** 6) * BoundValue.from_int(2)
     assert a < b
-    assert bv_min(b, a, b) == a
+    assert min(b, a, b) == a
 
 
 def test_infinite_arithmetic():
@@ -648,4 +648,4 @@ def test_values_past_the_small_value_threshold_are_never_expanded(monkeypatch):
     assert BoundValue([(4, 3000)]).compare(BoundValue([(2, 6000)])) == 0
     small = BoundValue.from_int(2 ** 100)
     assert three.compare(small) == 1 and small.compare(three) == -1
-    assert bv_min(two, three) == three
+    assert min(two, three) == three

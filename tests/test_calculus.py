@@ -13,7 +13,7 @@ from jordanbounds import dsl
 from jordanbounds.boundvalue import INF as BV_INF, BoundValue, ONE as BV_ONE, decimal
 from jordanbounds.calculus import (BoundTriple, TRIVIAL_TRIPLE, combine_extension,
                                    combine_product, gl_jordan_bound, leaf_triple,
-                                   leaf_with_trace, make_triple, minkowski_bound,
+                                   leaf_with_trace, minkowski_bound,
                                    semisimple_jordan_bound)
 from jordanbounds.caps import CapExceeded, Caps
 
@@ -155,7 +155,7 @@ def test_minkowski_clamp_certificate_holds():
 
 def test_gl_rational_leaf_equals_the_exact_clamp():
     for n in list(range(1, 65)) + [190]:
-        assert leaf_triple("gl_rational", n) == make_triple(
+        assert leaf_triple("gl_rational", n) == BoundTriple(
             bv(gl_jordan_bound(n)), n, minkowski_bound(n)), n
 
 
@@ -211,17 +211,15 @@ def test_gl_rational_leaf_respects_order_bound():
 
 
 def test_triple_invariants_enforced():
+    assert BoundTriple(bv(5), 0, 2).j == bv(2)  # j > finite bd is clamped
     with pytest.raises(ValueError):
-        BoundTriple(bv(5), 0, 2)  # j > finite bd
-    with pytest.raises(ValueError):
-        make_triple(BV_ONE, 0, 0)  # bd < 1
-    clamped = make_triple(bv(100), 1, 7)
+        BoundTriple(BV_ONE, 0, 0)  # bd < 1
+    clamped = BoundTriple(bv(100), 1, 7)
     assert clamped.j == bv(7)
 
 
 def test_an_infinite_jordan_bound_needs_an_unbounded_order():
-    with pytest.raises(ValueError, match="may not exceed a finite order bound"):
-        BoundTriple(BV_INF, 0, 2)
+    assert BoundTriple(BV_INF, 0, 2).j == bv(2)
     assert str(BoundTriple(BV_INF, 0, None)) == "(J<=inf, Rkf<=0, Bd<=inf)"
     with pytest.raises(ValueError, match="rank bound must be non-negative"):
         BoundTriple(BV_ONE, -1, None)
@@ -246,7 +244,7 @@ def test_reprs_past_the_str_digit_limit(int_str_limit):
     sys.set_int_max_str_digits(4300)  # the interpreter's default limit
     value = BoundValue.from_int(calc.gl_jordan_bound(48))
     assert repr(value) == f"BoundValue([({gl48}, 1)])"
-    triple = make_triple(value, 48, None)
+    triple = BoundTriple(value, 48, None)
     assert repr(triple) == f"BoundTriple(j=BoundValue([({gl48}, 1)]), rkf=48, bd=None)"
     triple, trace = dsl.evaluate(dsl.parse("gl(64)"))
     assert f"({gl64}, 1)" in repr(trace.steps[-1])
@@ -312,7 +310,7 @@ def test_product_examples():
 
 
 _triples = st.builds(
-    lambda j, r, b: make_triple(bv(j), r, None if b is None else max(b, 1)),
+    lambda j, r, b: BoundTriple(bv(j), r, None if b is None else max(b, 1)),
     st.integers(1, 50), st.integers(0, 6),
     st.one_of(st.none(), st.integers(1, 50)))
 

@@ -453,6 +453,20 @@ def test_readme_layout_lists_every_module():
     assert listed == modules
 
 
+def test_readme_breach_examples_are_what_the_cli_prints(capsys, tmp_path):
+    text = " ".join((REPO_ROOT / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.findall(r"`(error: cap exceeded in abelian: [^`]*)`", text)
+    printed = []
+    for caps, argv in (({"subgroup_count": 1000}, ("nfun", "--dim", "15")),
+                       ({"center_order": 4}, ("nfun", "--dim", "9"))):
+        path = tmp_path / "caps.json"
+        path.write_text(json.dumps(caps), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--caps", str(path), *argv)
+        assert (code, out) == (3, "")
+        printed.append(err.rstrip("\n"))
+    assert printed == quoted
+
+
 def test_declared_dependencies_are_the_third_party_imports():
     tomllib = pytest.importorskip("tomllib")
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
@@ -552,7 +566,7 @@ def test_cold_verb_imports_only_its_modules(capsys, monkeypatch, argv, absent):
 
 
 def test_verb_modules_do_not_import_dataclasses():
-    # the records on every verb's path are written out by hand: importing
+    # the records on every verb's path do without dataclasses: importing
     # dataclasses (and inspect under it) costs a cold start about 6 ms
     out = _run_fresh([sys.executable, "-c",
                       "import sys, jordanbounds.cli, jordanbounds.enumeration, "
@@ -568,7 +582,7 @@ EXPORTS = {
     "calculus": "BoundTriple DerivationTrace aut0_jordan_bound aut0_rank_bound aut0_triple "
                 "combine_extension combine_product connected_jordan_bound "
                 "connected_rank_bound connected_triple gl_jordan_bound leaf_triple "
-                "make_triple minkowski_bound rank_bound_mod_commutator "
+                "minkowski_bound rank_bound_mod_commutator "
                 "semisimple_jordan_bound",
     "caps": "Caps CapExceeded DEFAULT_CAPS load_caps",
     "dsl": "GroupExpr ParseError evaluate parse parse_file_text print_expr",
@@ -591,7 +605,7 @@ def test_package_exports_resolve_lazily():
         for name in exported.split():
             assert getattr(jordanbounds, name) is getattr(sub, name), name
             names += 1
-    assert names == len(jordanbounds.__all__) == 57
+    assert names == len(jordanbounds.__all__) == 56
     with pytest.raises(AttributeError, match="no_such_name"):
         jordanbounds.no_such_name
     assert jordanbounds.__version__ == "0.1.0"

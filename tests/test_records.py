@@ -1,14 +1,15 @@
-"""The records on the verbs' import path are written out by hand; these tests
+"""The records on the verbs' import path do without dataclasses; these tests
 pin what they must keep: value equality, a hash equal to the hash of the
 tuple of their fields (which fixes set and dict order, and so printed
-output), their repr, their sort order and their error messages."""
+output), their repr, their sort order, slots without an instance dict,
+their error messages, and the clamp of a triple's Jordan bound."""
 
 import functools
 
 import pytest
 
 from jordanbounds.abelian import FiniteAbelianGroup
-from jordanbounds.boundvalue import BoundValue, ONE
+from jordanbounds.boundvalue import INF, BoundValue, ONE
 from jordanbounds.calculus import (BoundTriple, DerivationTrace, TraceStep,
                                    combine_product)
 from jordanbounds.caps import Caps
@@ -73,6 +74,28 @@ def test_record_equality_hash_and_repr(make, other, fields, hashed):
             hash(x)
 
 
+@pytest.mark.parametrize("make", [r[0] for r in RECORDS.values() if r[3]],
+                         ids=[name for name, r in RECORDS.items() if r[3]])
+def test_hashed_records_have_no_instance_dict(make):
+    assert not hasattr(make(), "__dict__")
+
+
+def test_derived_fields_are_stored_once():
+    st = SemisimpleType((A1, B2, A2))
+    assert st.center_moduli == (2, 3, 2) and st.center_moduli is st.center_moduli
+    cls = IsogenyClass(A1A1, 0b0011)
+    assert cls.kernel_generators is cls.kernel_generators
+
+
+def test_triples_clamp_j_to_a_finite_order_bound():
+    two = BoundValue.from_int(2)
+    assert BoundTriple(BoundValue.from_int(5), 0, 2).j == two
+    assert BoundTriple(INF, 0, 2).j == two
+    assert BoundTriple(INF, 0, None).j is INF
+    # a tie keeps the given j, and so its factors
+    assert BoundTriple(BoundValue([(2, 4)]), 0, 16).j.factors == ((2, 4),)
+
+
 def test_trace_step_repr_omits_redo():
     assert "redo" not in repr(_step("rule"))
     assert "combine_product" not in repr(_step("rule"))
@@ -111,8 +134,6 @@ INVALID = {
     "kernel": (lambda: IsogenyClass(A1A1, 0b0111), "kernel is not closed under the group law"),
     "rkf": (lambda: BoundTriple(ONE, -1, None), "rank bound must be non-negative"),
     "bd": (lambda: BoundTriple(ONE, 0, 0), "order bound must be at least 1"),
-    "j over bd": (lambda: BoundTriple(BoundValue.from_int(5), 0, 2),
-                  "Jordan bound may not exceed a finite order bound"),
 }
 
 
