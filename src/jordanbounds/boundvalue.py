@@ -297,10 +297,6 @@ class BoundValue:
     def factors(self) -> Tuple[Tuple[int, int], ...]:
         return self._factors
 
-    @property
-    def is_one(self) -> bool:
-        return not self._infinite and not self._factors
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod

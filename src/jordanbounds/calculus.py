@@ -235,9 +235,6 @@ class BoundTriple:
                 "bd": render_order(self.bd)}
 
 
-TRIVIAL_TRIPLE = BoundTriple(BV_ONE, 0, 1)
-
-
 # --- derivation traces -------------------------------------------------------
 
 
@@ -323,9 +320,6 @@ class DerivationTrace:
 
 # --- leaves ------------------------------------------------------------------
 
-LEAF_KINDS = ("torus", "unipotent", "abelian_variety", "finite",
-              "gl_field", "gl_rational", "semisimple")
-
 _LEAF_STATEMENTS = {
     "torus": "a torus T is abelian (J = 1) and Rk_f(T) = dim T; "
              "its finite subgroups have unbounded order",
@@ -344,6 +338,8 @@ _LEAF_STATEMENTS = {
                   "general linear group of the embedding dimension for d, "
                   "through which its bounds are inherited",
 }
+
+LEAF_KINDS = tuple(_LEAF_STATEMENTS)
 
 
 def leaf_triple(kind: str, param: int, caps: Caps = DEFAULT_CAPS) -> BoundTriple:

@@ -12,21 +12,23 @@ bir_connected(n).
 
 Every leaf but semisimple parses to Leaf(name, arg), one row of _LEAVES.
 The extension node takes (normal subgroup, quotient), mirroring the
-sequence 1 -> G1 -> G -> G2 -> 1.  Files may carry '#' line comments
-around a single expression, which nests at most MAX_DEPTH levels deep.
+sequence 1 -> G1 -> G -> G2 -> 1.  Integers and names are ASCII.  Files
+may carry '#' line comments around a single expression, which nests at
+most MAX_DEPTH levels deep.
 The semisimple leaf keeps its isogeny for printing; its bound reads only
 the total dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import List, Tuple, Union
 
 from . import calculus
 from .calculus import BoundTriple, DerivationTrace
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .enumeration import SemisimpleType
+from .records import Record
 from .rootsystems import SimpleType
 
 
@@ -45,28 +47,21 @@ class ParseError(ValueError):
 # --- AST -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     """An integer-parameter leaf such as torus(2); `name` is a key of _LEAVES."""
-    name: str
-    arg: int
+    __slots__ = _fields = ("name", "arg")
 
 
-@dataclass(frozen=True)
-class Semisimple:
-    types: Tuple[SimpleType, ...]
-    isogeny: str  # "sc" | "adjoint"
+class Semisimple(Record):
+    __slots__ = _fields = ("types", "isogeny")  # isogeny: "sc" | "adjoint"
 
 
-@dataclass(frozen=True)
-class Product:
-    children: Tuple["GroupExpr", ...]
+class Product(Record):
+    __slots__ = _fields = ("children",)
 
 
-@dataclass(frozen=True)
-class Extension:
-    normal: "GroupExpr"
-    quotient: "GroupExpr"
+class Extension(Record):
+    __slots__ = _fields = ("normal", "quotient")
 
 
 GroupExpr = Union[Leaf, Semisimple, Product, Extension]
@@ -100,106 +95,77 @@ _LEAVES = {
 # --- tokenizer / parser ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | int | punct
-    text: str
-    pos: int
+# ASCII tokens; whitespace between them is skipped, anything else is "bad"
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<punct>[()\[\],])|(?P<bad>\S)")
+# a '#' comment runs to the next line boundary that str.splitlines knows
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> List[tuple]:
+    """The (kind, text, position) tokens of `text`, closed by ("end", "", len(text))."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()[],":
-            out.append(_Token("punct", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        out.append((m.lastgroup, m.group(), m.start()))
+    out.append(("end", "", len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], length: int):
+    def __init__(self, tokens: List[tuple]):
         self.tokens = tokens
         self.at = 0
-        self.length = length
 
-    def _peek(self):
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
+    def _peek(self) -> tuple:
+        return self.tokens[self.at]
 
-    def _next(self, expect_kind=None, expect_text=None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        if expect_kind and tok.kind != expect_kind:
-            raise ParseError(f"expected {expect_kind}, found {tok.text!r}", tok.pos)
-        if expect_text and tok.text != expect_text:
-            raise ParseError(f"expected {expect_text!r}, found {tok.text!r}", tok.pos)
+    def _next(self, expect_kind=None, expect_text=None) -> tuple:
+        kind, text, pos = tok = self.tokens[self.at]
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        if expect_kind and kind != expect_kind:
+            raise ParseError(f"expected {expect_kind}, found {text!r}", pos)
+        if expect_text and text != expect_text:
+            raise ParseError(f"expected {expect_text!r}, found {text!r}", pos)
         self.at += 1
         return tok
 
-    def _int(self) -> int:
-        return int(self._next("int").text)
-
     def parse(self) -> GroupExpr:
         expr = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self._peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
         return expr
 
     def expr(self, depth: int = 1) -> GroupExpr:
         if depth > MAX_DEPTH:
-            tok = self._peek()
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
-                             tok.pos if tok else self.length)
-        head = self._next("name")
+                             self._peek()[2])
+        _, head, head_pos = self._next("name")
         self._next("punct", "(")
-        if head.text == "product":
+        if head == "product":
             children = [self.expr(depth + 1)]
-            while True:
-                tok = self._peek()
-                if tok and tok.text == ",":
-                    self._next()
-                    children.append(self.expr(depth + 1))
-                else:
-                    break
+            while self._peek()[1] == ",":
+                self._next()
+                children.append(self.expr(depth + 1))
             self._next("punct", ")")
             if len(children) < 2:
-                raise ParseError("product needs at least two children", head.pos)
+                raise ParseError("product needs at least two children", head_pos)
             return Product(tuple(children))
-        if head.text == "extension":
+        if head == "extension":
             normal = self.expr(depth + 1)
             self._next("punct", ",")
             quotient = self.expr(depth + 1)
             self._next("punct", ")")
             return Extension(normal, quotient)
-        if head.text == "semisimple":
+        if head == "semisimple":
             node = self._semisimple()
-        elif head.text in _LEAVES:
-            node = self._leaf(head.text)
+        elif head in _LEAVES:
+            node = self._leaf(head)
         else:
-            raise ParseError(f"unknown leaf {head.text!r}", head.pos)
+            raise ParseError(f"unknown leaf {head!r}", head_pos)
         self._next("punct", ")")
         return node
 
@@ -207,44 +173,46 @@ class _Parser:
         self._next("punct", "[")
         types: List[SimpleType] = []
         while True:
-            tok = self._next("name")
+            _, text, pos = self._next("name")
             try:
-                types.append(SimpleType.parse(tok.text))
+                types.append(SimpleType.parse(text))
             except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
-            tok = self._peek()
-            if tok and tok.text == ",":
-                self._next()
-                continue
-            break
+                raise ParseError(str(exc), pos) from None
+            if self._peek()[1] != ",":
+                break
+            self._next()
         self._next("punct", "]")
         self._next("punct", ",")
-        iso = self._next("name")
-        if iso.text not in ("sc", "adjoint"):
-            raise ParseError(f"isogeny must be sc or adjoint, found {iso.text!r}", iso.pos)
-        return Semisimple(tuple(types), iso.text)
+        _, iso, pos = self._next("name")
+        if iso not in ("sc", "adjoint"):
+            raise ParseError(f"isogeny must be sc or adjoint, found {iso!r}", pos)
+        return Semisimple(tuple(types), iso)
 
     def _leaf(self, name: str) -> Leaf:
-        tok = self._peek()
-        if tok is None or tok.kind != "int":
-            raise ParseError(f"{name} expects one integer argument",
-                             tok.pos if tok else self.length)
-        value = self._int()
+        kind, text, pos = self._peek()
+        if kind != "int":
+            raise ParseError(f"{name} expects one integer argument", pos)
+        self.at += 1
+        try:
+            value = int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
         message = _LEAVES[name][1]
         if message is not None and value < 1:
-            raise ParseError(message, tok.pos)
+            raise ParseError(message, pos)
         return Leaf(name, value)
 
 
 def parse(text: str) -> GroupExpr:
     """Parse one expression; raises ParseError with a position on bad input."""
-    return _Parser(_tokenize(text), len(text)).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 def parse_file_text(text: str) -> GroupExpr:
-    """Parse a DSL file: '#' starts a comment, one expression overall."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    return parse(stripped)
+    """Parse a DSL file: '#' starts a comment, one expression overall.
+
+    Comments turn into as many spaces, so error positions index `text`."""
+    return parse(_COMMENT.sub(lambda m: " " * len(m.group()), text))
 
 
 def print_expr(expr: GroupExpr) -> str:

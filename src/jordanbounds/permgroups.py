@@ -48,12 +48,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
 
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, img in enumerate(self.images):
-            out[img] = i
-        return Permutation(tuple(out))
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
 

@@ -1,9 +1,10 @@
 """One base for the engine's immutable value records.
 
-A subclass names its fields in `_fields`, lists them (and any field it
-derives once) in `__slots__`, and sets them in its own `__init__` with
-`object.__setattr__`.  The base gives what a frozen dataclass would,
-without importing `dataclasses` on the verbs' path.
+A subclass names its fields in `_fields` and lists them (and any field it
+derives once) in `__slots__`.  It takes its field values in order from
+the base's `__init__`, or, to validate them, sets them in its own
+`__init__` with `object.__setattr__`.  The base gives what a frozen
+dataclass would, without importing `dataclasses` on the verbs' path.
 """
 
 
@@ -14,6 +15,13 @@ class Record:
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes {len(self._fields)} values, "
+                            f"got {len(values)}")
+        for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

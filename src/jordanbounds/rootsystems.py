@@ -357,11 +357,7 @@ class CentralCharacter(Record):
     """A homomorphism from the (finite) center to Q/Z, given by its values on
     the center's canonical generators, each in [0,1)."""
 
-    __slots__ = _fields = ("center", "values")
-
-    def __init__(self, center: FiniteAbelianGroup, values: Tuple[Fraction, ...]):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "values", values)
+    __slots__ = _fields = ("center", "values")  # values: Tuple[Fraction, ...]
 
     def __call__(self, element: Tuple[int, ...]) -> Fraction:
         if len(element) != len(self.center.factors):

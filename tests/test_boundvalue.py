@@ -14,10 +14,10 @@ from jordanbounds.boundvalue import INF, ONE, BoundValue, _coprime_basis
 
 
 def test_construction_and_identity():
-    assert BoundValue.from_int(1).is_one
+    assert BoundValue.from_int(1) == ONE
     assert BoundValue.from_int(12).to_int() == 12
     assert ONE.to_int() == 1
-    assert (ONE * ONE).is_one
+    assert ONE * ONE == ONE
     with pytest.raises(ValueError):
         BoundValue.from_int(0)
     # these checks are what keep every finite value at least 1
@@ -71,7 +71,7 @@ def test_infinite_arithmetic():
     assert (INF * 5).is_infinite
     assert (BoundValue.from_int(5) * INF).is_infinite
     assert INF.pow(3).is_infinite
-    assert INF.pow(0).is_one
+    assert INF.pow(0) == ONE
 
 
 def test_digit_cap_controls_expansion():
@@ -471,7 +471,7 @@ def test_from_int_refuses_non_integers(n):
 
 def test_from_int_builds_its_one_factor():
     assert BoundValue.from_int(12).factors == ((12, 1),)
-    assert BoundValue.from_int(1).factors == () and BoundValue.from_int(1).is_one
+    assert BoundValue.from_int(1).factors == () and BoundValue.from_int(1) == ONE
     for n in (0, -3):
         with pytest.raises(ValueError, match=">= 1"):
             BoundValue.from_int(n)

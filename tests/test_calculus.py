@@ -11,7 +11,7 @@ from jordanbounds import boundvalue
 from jordanbounds import calculus as calc
 from jordanbounds import dsl
 from jordanbounds.boundvalue import INF as BV_INF, BoundValue, ONE as BV_ONE, decimal
-from jordanbounds.calculus import (BoundTriple, TRIVIAL_TRIPLE, combine_extension,
+from jordanbounds.calculus import (BoundTriple, combine_extension,
                                    combine_product, gl_jordan_bound, leaf_triple,
                                    leaf_with_trace, minkowski_bound,
                                    semisimple_jordan_bound)
@@ -187,7 +187,7 @@ def test_leaf_values():
     assert leaf_triple("unipotent", 5) == BoundTriple(BV_ONE, 0, 1)
     assert leaf_triple("abelian_variety", 3) == BoundTriple(BV_ONE, 6, None)
     assert leaf_triple("finite", 6) == BoundTriple(bv(6), 2, 6)
-    assert leaf_triple("finite", 1) == TRIVIAL_TRIPLE
+    assert leaf_triple("finite", 1) == BoundTriple(BV_ONE, 0, 1)
     gl3 = leaf_triple("gl_field", 3)
     assert gl3.j == bv(gl_jordan_bound(3)) and gl3.rkf == 3 and gl3.bd is None
     ss = leaf_triple("semisimple", 3)
@@ -292,10 +292,11 @@ def test_extension_no_rule_gives_infinite():
 
 
 def test_extension_trivial_identity():
+    trivial = BoundTriple(BV_ONE, 0, 1)
     for t in (leaf_triple("torus", 3), leaf_triple("gl_field", 2),
               leaf_triple("finite", 12), leaf_triple("abelian_variety", 2)):
-        left, _ = combine_extension(TRIVIAL_TRIPLE, t)
-        right, _ = combine_extension(t, TRIVIAL_TRIPLE)
+        left, _ = combine_extension(trivial, t)
+        right, _ = combine_extension(t, trivial)
         for out in (left, right):
             assert out.j == t.j and out.rkf == t.rkf and out.bd == t.bd
 

@@ -520,7 +520,7 @@ def test_repeat_runs_bit_identical():
 
 
 # each cold verb imports only the modules it runs: (argv, modules it must not load);
-# only `bound dsl` and `finite` load dataclasses, for the records of dsl and permgroups
+# only `finite` loads dataclasses, for the records of permgroups
 _NOT_CALCULUS = ("jordanbounds.calculus", "jordanbounds.boundvalue", "jordanbounds.dsl",
                  "jordanbounds.permgroups", "mpmath", "dataclasses")
 _NOT_ENUMERATION = ("jordanbounds.enumeration", "jordanbounds.abelian",
@@ -535,7 +535,7 @@ COLD_CASES = [
     (["minkowski", "--n", "64"], _NOT_ENUMERATION),
     (["sbound", "--dim", "12"], _NOT_DSL_OR_FINITE),
     (["bound", "dsl", "--expr", "semisimple([A1,A1,A1,A1,A1],sc)"],
-     ("jordanbounds.permgroups", "mpmath")),
+     ("jordanbounds.permgroups", "mpmath", "dataclasses")),
     # log10 enclosures and magnitude comparisons need no mpmath either
     (["--json", "--trace", "bound", "aut0", "--dim", "1"], _NOT_DSL_OR_FINITE),
     (["--json", "bound", "aut0", "--dim", "2"], _NOT_DSL_OR_FINITE),
@@ -543,7 +543,7 @@ COLD_CASES = [
     (["--json", "finite", "verify", "--file", "corpus/s5.grp", "--context", "connected_dim:4"],
      ("jordanbounds.dsl", "mpmath")),
     (["--json", "--trace", "bound", "dsl", "--expr", "product(gl(40), torus(3))"],
-     ("jordanbounds.permgroups", "mpmath")),
+     ("jordanbounds.permgroups", "mpmath", "dataclasses")),
 ]
 
 
@@ -570,7 +570,7 @@ def test_verb_modules_do_not_import_dataclasses():
     # dataclasses (and inspect under it) costs a cold start about 6 ms
     out = _run_fresh([sys.executable, "-c",
                       "import sys, jordanbounds.cli, jordanbounds.enumeration, "
-                      "jordanbounds.calculus\n"
+                      "jordanbounds.calculus, jordanbounds.dsl\n"
                       "assert 'dataclasses' not in sys.modules, 'dataclasses imported'\n"])
     assert out.returncode == 0, out.stderr
 

@@ -2,8 +2,11 @@ import hashlib
 import json
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanbounds import dsl
 from jordanbounds.boundvalue import BoundValue, ONE as BV_ONE
@@ -110,6 +113,10 @@ def test_parse_errors_carry_positions():
         ("semisimple([B1], sc)", "inadmissible"),
         ("semisimple([A1], weird)", "sc or adjoint"),
         ("aut0(0)", "positive"),
+        # digits and letters are ASCII only
+        ("torus(\u00b2)", "unexpected character '\u00b2' (at position 6)"),
+        ("torus(\u0661\u0662)", "unexpected character '\u0661' (at position 6)"),
+        ("tor\u00fcs(2)", "unexpected character '\u00fc' (at position 3)"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as err:
@@ -198,6 +205,67 @@ def test_file_parsing_with_comments():
     )
     """
     assert parse_file_text(text) == Extension(Leaf("unipotent", 3), Leaf("torus", 2))
+
+
+def test_file_error_positions_index_the_file():
+    text = "# a comment line\nproduct(torus(2), bogus(3))"
+    with pytest.raises(ParseError) as err:
+        parse_file_text(text)
+    assert str(err.value) == "unknown leaf 'bogus' (at position 35)"
+    assert text[err.value.position:].startswith("bogus")
+    text = "extension(torus(1),  # the normal subgroup\n\n"
+    with pytest.raises(ParseError) as err:
+        parse_file_text(text)
+    assert str(err.value) == f"unexpected end of input (at position {len(text)})"
+
+
+def test_a_literal_past_the_digit_limit_is_a_parse_error(int_str_limit):
+    sys.set_int_max_str_digits(4300)
+    assert parse("torus(" + "9" * 4300 + ")") == Leaf("torus", 10 ** 4300 - 1)
+    with pytest.raises(ParseError) as err:
+        parse("product(torus(1), torus(" + "1" * 5000 + "))")
+    assert type(err.value) is ParseError
+    assert str(err.value) == "integer literal of 5000 digits is too long (at position 24)"
+
+
+# text near the grammar: expressions with fragments spliced in, or a soup of
+# fragments; non-ASCII digits and letters, NBSP, line separators, comments and
+# digit runs past the int -> str limit included
+_FRAGMENTS = st.sampled_from(
+    sorted(dsl._LEAVES) + ["semisimple", "product", "extension", "sc", "adjoint", "A1",
+                          "B2", "E6", "(", ")", "[", "]", ",", "0", "1", "12", "\u00b2",
+                          "\u0661", "\u00fc", " ", "\t", "\n", "\r", "\u00a0", "\u2028",
+                          "#", "# c\n", "-", "!", "_x"]) | st.integers(4290, 4400).map(
+    lambda k: "7" * k)
+_LEAF_TEXT = st.tuples(st.sampled_from(sorted(dsl._LEAVES)), st.integers(0, 12)).map(
+    lambda t: f"{t[0]}({t[1]})") | st.just("semisimple([A1,B2], sc)")
+_EXPR_TEXT = st.recursive(
+    _LEAF_TEXT,
+    lambda inner: (st.lists(inner, min_size=1, max_size=3).map(
+        lambda cs: "product(" + ", ".join(cs) + ")")
+        | st.tuples(inner, inner).map(lambda p: f"extension({p[0]}, {p[1]})")),
+    max_leaves=6)
+
+
+def _splice(text, inserts):
+    for at, fragment in inserts:
+        at %= len(text) + 1
+        text = text[:at] + fragment + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.builds(_splice, _EXPR_TEXT, st.lists(st.tuples(st.integers(0), _FRAGMENTS), max_size=3)),
+    st.lists(_FRAGMENTS, max_size=12).map("".join)))
+def test_parser_fuzz_round_trips_or_raises_a_parse_error(text):
+    for parse_text in (parse, parse_file_text):
+        try:
+            e = parse_text(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text), (text, exc)
+        else:
+            assert parse(print_expr(e)) == e
 
 
 def test_evaluate_leaves():

@@ -13,6 +13,7 @@ from jordanbounds.boundvalue import INF, BoundValue, ONE
 from jordanbounds.calculus import (BoundTriple, DerivationTrace, TraceStep,
                                    combine_product)
 from jordanbounds.caps import Caps
+from jordanbounds.dsl import Extension, Leaf, Product, Semisimple
 from jordanbounds.enumeration import IsogenyClass, SemisimpleType
 from jordanbounds.rootsystems import (DominantWeight, SimpleType, admissible_types,
                                       central_character)
@@ -43,6 +44,14 @@ RECORDS = {
                        ("factors",), True),
     "IsogenyClass": (lambda: IsogenyClass(A1A1, 0b0011), lambda: IsogenyClass(A1A1, 0b0101),
                      ("base", "kernel"), True),
+    "Leaf": (lambda: Leaf("torus", 2), lambda: Leaf("torus", 3), ("name", "arg"), True),
+    "Semisimple": (lambda: Semisimple((A1, B2), "sc"), lambda: Semisimple((A1, B2), "adjoint"),
+                   ("types", "isogeny"), True),
+    "Product": (lambda: Product((Leaf("torus", 1), Leaf("gl", 2))),
+                lambda: Product((Leaf("gl", 2), Leaf("torus", 1))), ("children",), True),
+    "Extension": (lambda: Extension(Leaf("unipotent", 1), Leaf("torus", 2)),
+                  lambda: Extension(Leaf("torus", 2), Leaf("unipotent", 1)),
+                  ("normal", "quotient"), True),
     "BoundTriple": (lambda: BoundTriple(BoundValue.from_int(6), 2, None),
                     lambda: BoundTriple(BoundValue.from_int(6), 2, 6), ("j", "rkf", "bd"), False),
     # redo is left out of == and of the repr
