@@ -48,6 +48,10 @@ _DECIMAL_LEAF_BITS = 2048
 # ints: 9 us for a 4,096-bit pair, against 10-60 us for the coprime basis
 # and log sums (more past it for large bases), on a 2-vCPU x86-64 host
 _SMALL_BITS = 4096
+# _decimal_to_int's leaf: int() of a 300-digit Decimal takes 3 us, of a
+# 600-digit one 11 us and of a 1,200-digit one 49 us, quadratic past it, on
+# a 2-vCPU x86-64 host
+_DECIMAL_TO_INT_LEAF = 300
 
 
 def decimal(value: int) -> str:
@@ -79,14 +83,25 @@ def decimal(value: int) -> str:
     return str(value)
 
 
+def _exact_context():
+    """A context manager for libmpdec arithmetic that never rounds: the
+    largest precision and exponent range, with Inexact trapped, so a
+    rounding raises instead of passing unseen."""
+    import decimal as mpd  # deferred: only values past the leaf size need it
+
+    return mpd.localcontext(mpd.Context(
+        prec=mpd.MAX_PREC, Emax=mpd.MAX_EMAX, Emin=mpd.MIN_EMIN,
+        traps=[mpd.Inexact, mpd.InvalidOperation, mpd.DivisionByZero, mpd.Overflow]))
+
+
 def _decimal_product(factors: Iterable[Tuple[int, int]], bases: Optional[List[str]] = None):
     """prod(base ** exp) over positive integer bases as an exact libmpdec
     Decimal, whose products and powers are subquadratic.  Each base is
     converted once: a base past _DECIMAL_LEAF_BITS is split as lo + hi * 2^w
     and the halves combined (Brent & Zimmermann, Modern Computer Arithmetic,
     1.7).  When `bases` is a list, each base's decimal string is appended to
-    it.  Every operation runs under the Inexact trap, so a rounding raises."""
-    import decimal as mpd  # deferred: only values past the leaf size need it
+    it.  Every operation runs under _exact_context."""
+    import decimal as mpd
 
     powers = {}
 
@@ -107,11 +122,7 @@ def _decimal_product(factors: Iterable[Tuple[int, int]], bases: Optional[List[st
         hi = n >> w
         return convert(n - (hi << w), w) + convert(hi, bits - w) * two_to(w)
 
-    with mpd.localcontext() as ctx:
-        ctx.prec = mpd.MAX_PREC
-        ctx.Emax = mpd.MAX_EMAX
-        ctx.Emin = mpd.MIN_EMIN
-        ctx.traps[mpd.Inexact] = True
+    with _exact_context():
         out = mpd.Decimal(1)
         for base, exp in factors:
             d = convert(base, base.bit_length())
@@ -119,6 +130,41 @@ def _decimal_product(factors: Iterable[Tuple[int, int]], bases: Optional[List[st
                 bases.append(str(d))
             out *= d ** exp
         return out
+
+
+def _decimal_floor_shift(d, k: int):
+    """floor(d / 10^k) for an integral Decimal d and k >= 0, under
+    _exact_context: a shift of the coefficient."""
+    import decimal as mpd
+
+    return d.scaleb(-k).to_integral_value(mpd.ROUND_FLOOR)
+
+
+def _decimal_to_int(d) -> int:
+    """The int equal to an integral libmpdec Decimal d >= 0.  int() of a
+    Decimal is quadratic in its digits, so a value past
+    _DECIMAL_TO_INT_LEAF digits is split as lo + hi * 10^w and the halves
+    joined by one int product (the inverse of _decimal_product's split;
+    Brent & Zimmermann, Modern Computer Arithmetic, 1.7).  Every split runs
+    under _exact_context."""
+    powers = {}
+
+    def ten_to(w):
+        p = powers.get(w)
+        if p is None:
+            p = 10 ** w if w <= _DECIMAL_TO_INT_LEAF else ten_to(w // 2) * ten_to(w - w // 2)
+            powers[w] = p
+        return p
+
+    def convert(x, digits):
+        if digits <= _DECIMAL_TO_INT_LEAF:
+            return int(x)
+        w = digits // 2
+        hi = _decimal_floor_shift(x, w)
+        return convert(x - hi.scaleb(w), w) + convert(hi, digits - w) * ten_to(w)
+
+    with _exact_context():
+        return convert(d, d.adjusted() + 1)
 
 
 # Scale of the integer logarithm bounds: lo <= 2^_LOG_PREC * log2(b) <= hi.

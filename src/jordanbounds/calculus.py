@@ -85,7 +85,8 @@ def _newton_inverse_sqrt(r: int, p: int) -> Tuple[int, Optional[int]]:
 
 def _settle_root(n: int, root: int) -> int:
     """isqrt(n) for n >= 0, stepped from a guess root >= 0 until
-    root^2 <= n < (root+1)^2; one step per unit of the guess's error."""
+    root^2 <= n < (root+1)^2; one step per unit of the guess's error.  The
+    same steps serve integral Decimals under boundvalue._exact_context."""
     d = n - root * root
     while d < 0:
         root -= 1
@@ -113,6 +114,128 @@ def _floor_mul_sqrt(b: int, r: int) -> int:
     return _settle_root(b * b * r, root)
 
 
+def _ring_power(one, r: int, e: int):
+    """(a, b) with (1 + sqrt(r))^e = a + b*sqrt(r), e >= 1, in the number
+    type of `one`: int, or an integral Decimal under
+    boundvalue._exact_context.
+
+    Left to right: square, then maybe multiply by 1 + sqrt(r), which costs
+    two additions; a square (a + b sqrt r)^2 is
+    a^2 + r b^2 + ((a + b)^2 - a^2 - b^2) sqrt r, three squarings.
+    """
+    a = b = one
+    for bit in bin(e)[3:]:
+        a2 = a * a
+        b2 = b * b
+        s = a + b
+        a, b = a2 + r * b2, s * s - a2 - b2
+        if bit == "1":
+            a, b = a + r * b, a + b
+    return a, b
+
+
+def _newton_inverse_sqrt_mpd(r: int, p: int):
+    """The libmpdec port of _newton_inverse_sqrt, in base ten: integral
+    Decimals (y, err) with 0 <= 10^p / sqrt(r) - y < err, for
+    1 <= r < 2^1000, from multiplications and digit shifts only; err is
+    None when no Newton step ran.  Runs under boundvalue._exact_context.
+
+    The step y <- y + y*(10^2q - r*y^2) / (2 * 10^2q) runs as for the int,
+    its halving a product by 5 and one more digit of shift, with the
+    precisions planned downwards from p in digits: y ~ 10^q / sqrt(r) has
+    at most q - half good digits, and a step from q to nxt keeps every
+    digit good when nxt <= 2q - half - 10.
+    """
+    import decimal as mpd
+
+    shift = boundvalue._decimal_floor_shift
+    half = (len(str(r)) + 1) // 2
+    plan = []
+    q = p
+    while q > 14 + half:
+        plan.append(q)
+        q = (q + half + 11) // 2
+    with boundvalue._exact_context():
+        y = mpd.Decimal(int(10 ** q / math.sqrt(r)))
+        for nxt in reversed(plan):
+            e = mpd.Decimal(1).scaleb(2 * q) - r * (y * y)
+            y_q, q_q = y, q
+            y = y.scaleb(nxt - q) + shift(y * e * 5, 3 * q + 1 - nxt)
+            q = nxt
+        if not plan or abs(e).adjusted() >= 2 * q_q - 1:
+            return y, None
+        # as for the int: with delta = e / 10^(2q) and |delta| < 1/10,
+        # 0 <= truth - y < y_q 10^(p-q) delta^2 + 1 < 10^s + 1
+        s = y_q.adjusted() + 1 + p - q_q + 2 * (abs(e).adjusted() + 1) - 4 * q_q
+        return y, mpd.Decimal(1).scaleb(max(s, 0)) + 1
+
+
+def _floor_square_mpd(a, b, r: int):
+    """floor((a + b*sqrt(r))^2) for integral Decimals a, b >= 0 and
+    1 <= r < 2^1000, as an integral Decimal: one fixed-point squaring in
+    place of a last ring step and a full-width B*sqrt(r).  Runs under
+    boundvalue._exact_context.
+
+    With X = a + b*sqrt(r) < 10^h, f = h + 10 fraction digits,
+    k = (digits of b) + (digits of r) + 1 and
+    0 <= 10^p / sqrt(r) - y < err at p = f + k, the integer
+    T = a*10^f + floor(b*r*y / 10^k) has T <= X*10^f < T + u for
+    u = 1 + ceil(b*r*err / 10^k).  So X^2 * 10^(2f) lies in
+    [T^2, T^2 + u(2T + u)), and floor(T^2 / 10^(2f)) is the floor when the
+    upper end does not pass the next multiple of 10^(2f).  Otherwise (X^2
+    within about 10^-10 of an integer, or no error bound) the floor
+    A + floor(B*sqrt(r)) of X^2 = A + B*sqrt(r) is stepped exactly.
+    """
+    import decimal as mpd
+
+    shift = boundvalue._decimal_floor_shift
+    with boundvalue._exact_context():
+        r_digits = len(str(r))
+        b_digits = b.adjusted() + 1
+        # a < 10^(digits of a) and b*sqrt(r) <= b*r < 10^(b_digits + r_digits)
+        h = max(a.adjusted() + 1, b_digits + r_digits) + 1
+        f = h + 10
+        k = b_digits + r_digits + 1
+        y, err = _newton_inverse_sqrt_mpd(r, f + k)
+        br = b * r
+        t = a.scaleb(f) + shift(br * y, k)
+        t2 = t * t
+        low = shift(t2, 2 * f)
+        if err is not None:
+            u = 1 - shift(-br * err, k)
+            if t2 - low.scaleb(2 * f) + u * (2 * t + u) <= mpd.Decimal(1).scaleb(2 * f):
+                return low
+        # X^2 = A + B*sqrt(r) with A = a^2 + r b^2 and B = 2ab
+        big_a = a * a + br * b
+        big_b = 2 * a * b
+        return big_a + _settle_root(big_b * big_b * r, max(low - big_a, 0))
+
+
+# From this n on (326,343 bits), gl_jordan_bound computes in libmpdec: the
+# power stops at (1 + sqrt(8n))^(n^2), _floor_square_mpd squares it once in
+# fixed point, and the result becomes an int by halves.  A size, not a cap:
+# both paths give the same value at every n.  Measured crossover (best of 21
+# alternating in-process runs, 2-vCPU x86-64 host): libmpdec takes 1.07x the
+# int time at n = 170, 0.95-1.00x at 172-182, 0.90x at 192, 0.70x at 256.
+# A perfect-square 8n stays on the int path, whose power needs no floor
+# (libmpdec and the conversion take 1.5x at n = 242)
+_GL_DECIMAL_N = 176
+
+
+def _gl_floor_mpd(n: int):
+    """gl_jordan_bound(n) for n >= 1 as an integral libmpdec Decimal."""
+    import decimal as mpd
+
+    radicand = 8 * n
+    with boundvalue._exact_context():
+        a, b = _ring_power(mpd.Decimal(1), radicand, n * n)
+        root = math.isqrt(radicand)
+        if root * root == radicand:  # the power is the integer (a + b root)^2
+            x = a + b * root
+            return x * x - 1
+        return _floor_square_mpd(a, b, radicand)
+
+
 @functools.lru_cache(maxsize=None)
 def gl_jordan_bound(n: int) -> int:
     """Jordan's constant for the n-dimensional general linear group:
@@ -120,28 +243,31 @@ def gl_jordan_bound(n: int) -> int:
 
     Computed exactly in the quadratic ring Z[sqrt(8n)]: write the power as
     A + B*sqrt(8n); its floor is A + floor(B*sqrt(8n)), and when 8n is a
-    perfect square the power is an integer and strictness costs one.
+    perfect square the power is an integer and strictness costs one.  From
+    _GL_DECIMAL_N on, any other n is computed in libmpdec (_gl_floor_mpd).
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if n == 0:
         return 1  # the trivial group
     radicand = 8 * n
-    # left to right: square, then maybe multiply by 1 + sqrt(8n), which
-    # costs two additions; a square (a + b sqrt r)^2 is
-    # a^2 + r b^2 + ((a + b)^2 - a^2 - b^2) sqrt r, three squarings
-    a, b = 1, 1
-    for bit in bin(2 * n * n)[3:]:
-        a2 = a * a
-        b2 = b * b
-        s = a + b
-        a, b = a2 + radicand * b2, s * s - a2 - b2
-        if bit == "1":
-            a, b = a + radicand * b, a + b
     sqrt_r = math.isqrt(radicand)
-    if sqrt_r * sqrt_r == radicand:  # b > 0, so b^2*8n is a square iff 8n is
+    # b > 0, so b^2*8n is a square iff 8n is
+    square = sqrt_r * sqrt_r == radicand
+    if n >= _GL_DECIMAL_N and not square:
+        return boundvalue._decimal_to_int(_gl_floor_mpd(n))
+    a, b = _ring_power(1, radicand, 2 * n * n)
+    if square:
         return a + b * sqrt_r - 1
     return a + _floor_mul_sqrt(b, radicand)
+
+
+def gl_jordan_decimal(n: int) -> str:
+    """gl_jordan_bound(n) in decimal; from _GL_DECIMAL_N on, the libmpdec
+    value's own string, with no int in between."""
+    if n >= _GL_DECIMAL_N:
+        return str(_gl_floor_mpd(n))
+    return boundvalue.decimal(gl_jordan_bound(n))
 
 
 def _primes_up_to(n: int) -> List[int]:

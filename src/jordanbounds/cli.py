@@ -165,7 +165,7 @@ def _run(args, caps: Caps) -> int:
     from . import calculus
     from .boundvalue import decimal
     if args.verb == "cnbound":
-        value = decimal(calculus.gl_jordan_bound(args.n))
+        value = calculus.gl_jordan_decimal(args.n)
         _emit(args, {"command": "cnbound", "n": args.n, "value": value}, [value])
         return 0
 

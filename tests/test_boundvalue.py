@@ -390,6 +390,28 @@ def test_decimal_matches_str_on_both_sides_of_the_split(int_str_limit):
     assert boundvalue.decimal(10 ** 20_000) == "1" + "0" * 20_000
 
 
+def test_decimal_to_int_inverts_decimal_product_on_both_sides_of_its_leaf():
+    leaf = boundvalue._DECIMAL_TO_INT_LEAF
+    rng = random.Random(9)
+    for digits in (1, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 20_011, 218_000):
+        for value in (rng.randrange(10 ** (digits - 1), 10 ** digits), 10 ** digits - 1,
+                      10 ** digits):
+            d = boundvalue._decimal_product([(value, 1)])
+            got = boundvalue._decimal_to_int(d)
+            assert type(got) is int and got == value, digits
+    assert boundvalue._decimal_to_int(boundvalue._decimal_product([])) == 1
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 3, 7])
+def test_decimal_to_int_splits_down_to_any_leaf(monkeypatch, leaf):
+    monkeypatch.setattr(boundvalue, "_DECIMAL_TO_INT_LEAF", leaf)
+    rng = random.Random(leaf)
+    for digits in (1, 2, 9, 10, 11, 999):
+        value = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        for v in (value, 10 ** digits, 10 ** digits - 1):
+            assert boundvalue._decimal_to_int(boundvalue._decimal_product([(v, 1)])) == v
+
+
 def test_render_of_a_value_past_the_split_leaves_the_str_digit_limit(int_str_limit):
     sys.set_int_max_str_digits(0)
     value = 3 ** 419_179

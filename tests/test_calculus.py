@@ -1,3 +1,4 @@
+import decimal as mpd
 import math
 import random
 import sys
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from jordanbounds import boundvalue
 from jordanbounds import calculus as calc
-from jordanbounds import dsl
+from jordanbounds import dsl, permgroups
 from jordanbounds.boundvalue import INF as BV_INF, BoundValue, ONE as BV_ONE, decimal
 from jordanbounds.calculus import (BoundTriple, combine_extension,
                                    combine_product, gl_jordan_bound, leaf_triple,
@@ -46,12 +47,20 @@ def test_gl_jordan_bound_is_exact_floor():
 
 # every n <= 256 with 8n a perfect square: 8 * 2m^2 = (4m)^2
 SQUARE_RADICANDS = [2 * m * m for m in range(1, 12)]
+# n on both sides of the size from which the floor is computed in libmpdec
+DECIMAL_BAND = list(range(calc._GL_DECIMAL_N - 3, calc._GL_DECIMAL_N + 4))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 97, 127, 190, 192, 255, 256] + SQUARE_RADICANDS)
+ORACLE_NS = [1, 2, 3, 64, 97, 127, 190, 192, 255, 256] + SQUARE_RADICANDS
+
+
+@pytest.mark.parametrize("n", ORACLE_NS + sorted(
+    (set(range(1, 130)) | set(DECIMAL_BAND) | set(range(189, 193)) | set(range(253, 257)))
+    - set(ORACLE_NS)))
 def test_gl_jordan_bound_matches_the_exact_floor_oracle(n):
     # value < x <= value + 1 has one integer solution, so this pins the value
-    assert reference_gl_floor(n, gl_jordan_bound(n))
+    value = gl_jordan_bound(n)
+    assert type(value) is int and reference_gl_floor(n, value)
 
 
 def test_reference_gl_floor_decides_small_cases():
@@ -90,11 +99,11 @@ def test_inverse_sqrt_error_bound_holds(r):
         assert r * y * y <= 4 ** p < r * (y + err) ** 2, p
 
 
-def _pell(r, x, y, above):
-    """A solution of x^2 - r*y^2 = 1 with x past `above`, from a
+def _pell(r, x, y, above, norm=1):
+    """A solution of x^2 - r*y^2 = norm with x past `above`, from a
     fundamental one by powers of x + y*sqrt(r)."""
     x1, y1 = x, y
-    while x <= above:
+    while x <= above or x * x - r * y * y != norm:
         x, y = x * x1 + r * y * y1, x * y1 + y * x1
     return x, y
 
@@ -128,11 +137,173 @@ def test_floor_mul_sqrt_steps_exactly_on_perfect_squares(settle_spy, r):
     assert settle_spy
 
 
-@pytest.mark.parametrize("n", [64, 128, 190, 192, 256])
+@pytest.mark.parametrize("n", [64, 128, calc._GL_DECIMAL_N - 1, calc._GL_DECIMAL_N,
+                               calc._GL_DECIMAL_N + 1, 190, 192, 253, 256])
 def test_gl_jordan_bound_certifies_its_floor_without_stepping(settle_spy, n):
     gl_jordan_bound.cache_clear()
     assert reference_gl_floor(n, gl_jordan_bound(n))
     assert not settle_spy
+
+
+# --- the libmpdec path: the same properties as the int helpers above ----------
+
+
+def D(n):
+    return mpd.Decimal(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(0), st.integers(0, 2 ** 64), st.integers(0, 2 ** 3000)),
+       st.one_of(st.just(0), st.integers(0, 2 ** 64), st.integers(0, 2 ** 3000),
+                 st.builds(lambda k, off: max(0, (1 << k) + off),  # near powers of two
+                           st.integers(0, 3000), st.integers(-3, 3))),
+       st.one_of(st.integers(1, 5000), st.integers(1, 70).map(lambda k: k * k)))
+def test_floor_square_mpd_matches_isqrt(a, b, r):
+    # (a + b sqrt r)^2 = a^2 + r b^2 + 2ab sqrt r
+    want = a * a + r * b * b + math.isqrt(4 * a * a * b * b * r)
+    got = calc._floor_square_mpd(D(a), D(b), r)
+    assert got == want and got.as_tuple().exponent == 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 8, 1000, 2040, 2047, 4999])
+def test_inverse_sqrt_mpd_is_within_two_of_the_truth(r):
+    for p in range(1, 1300, 3):
+        y = int(calc._newton_inverse_sqrt_mpd(r, p)[0])
+        # y - 2 < 10^p / sqrt(r) < y + 2, squared
+        assert (y < 2 or r * (y - 2) ** 2 < 100 ** p) and 100 ** p < r * (y + 2) ** 2, p
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 1000, 2047, 4999])
+def test_inverse_sqrt_mpd_error_bound_holds(r):
+    rng = random.Random(r)
+    for p in [rng.randrange(1, 1300) for _ in range(60)]:
+        y, err = calc._newton_inverse_sqrt_mpd(r, p)
+        if err is None:  # no Newton step: only for p at the float's precision
+            assert p <= 14 + (len(str(r)) + 1) // 2
+            continue
+        y, err = int(y), int(err)
+        # 0 <= 10^p / sqrt(r) - y < err, squared
+        assert r * y * y <= 100 ** p < r * (y + err) ** 2, p
+
+
+@pytest.mark.parametrize("r,x,y", [(2, 3, 2), (3, 2, 1), (5, 9, 4), (8, 3, 1), (1000, 39480499, 1248483)])
+def test_floor_square_mpd_steps_exactly_next_to_an_integer(settle_spy, r, x, y):
+    # x^2 - r*y^2 = 1, so 2y*sqrt(r) lies within 1/x < 10^-30 below 2x and
+    # (y + sqrt r)^2 = y^2 + r + 2y sqrt(r) just below an integer
+    x, y = _pell(r, x, y, 10 ** 30)
+    assert calc._floor_square_mpd(D(y), D(1), r) == y * y + r + 2 * x - 1
+    assert settle_spy
+
+
+@pytest.mark.parametrize("r,x,y", [(2, 1, 1), (5, 2, 1), (10, 3, 1), (13, 18, 5)])
+def test_floor_square_mpd_steps_exactly_just_past_an_integer(settle_spy, r, x, y):
+    # x^2 - r*y^2 = -1, so 2y*sqrt(r) lies within 1/x < 10^-30 above 2x
+    x, y = _pell(r, x, y, 10 ** 30, norm=-1)
+    assert calc._floor_square_mpd(D(y), D(1), r) == y * y + r + 2 * x
+    assert settle_spy
+
+
+# roots that divide no power of ten: 10^p / sqrt(r) is never exact, so the
+# fixed-point square falls short of the integer and cannot decide
+@pytest.mark.parametrize("r", [9, 49, 121, 441, 2025])
+def test_floor_square_mpd_steps_exactly_on_perfect_squares(settle_spy, r):
+    a, b = 5 ** 300 + 1, 3 ** 300 + 7
+    assert calc._floor_square_mpd(D(a), D(b), r) == (a + b * math.isqrt(r)) ** 2
+    assert settle_spy
+
+
+def test_floor_square_mpd_steps_exactly_on_an_integral_square(settle_spy):
+    b = 3 ** 300 + 7
+    assert calc._floor_square_mpd(D(0), D(b), 1000) == b * b * 1000
+    assert settle_spy
+
+
+@pytest.mark.parametrize("n", DECIMAL_BAND + [190, 192, 200, 242])
+def test_both_gl_paths_agree(monkeypatch, n):
+    values = []
+    for first_decimal_n in (1, 10 ** 9):
+        monkeypatch.setattr(calc, "_GL_DECIMAL_N", first_decimal_n)
+        gl_jordan_bound.cache_clear()
+        values.append(gl_jordan_bound(n))
+    gl_jordan_bound.cache_clear()
+    assert values[0] == values[1]
+    assert calc.gl_jordan_decimal(n) == decimal(values[0])
+
+
+def test_the_libmpdec_path_never_runs_under_the_ambient_context():
+    # a 28-digit context that traps every rounding: any operation run under
+    # it in place of the exact context would raise
+    strict = mpd.Context(prec=28, traps=[mpd.Inexact, mpd.Rounded])
+    n = calc._GL_DECIMAL_N + 1
+    gl_jordan_bound.cache_clear()
+    with mpd.localcontext(strict):
+        value = gl_jordan_bound(n)
+        text = calc.gl_jordan_decimal(n)
+        power = boundvalue._decimal_product([(3, 100_000)])
+        assert boundvalue._decimal_to_int(power) == 3 ** 100_000
+    assert reference_gl_floor(n, value) and text == decimal(value)
+
+
+def test_gl_jordan_decimal_prints_no_int_past_the_constant(monkeypatch):
+    def no_int(d):
+        raise AssertionError("converted to int")
+
+    monkeypatch.setattr(boundvalue, "_decimal_to_int", no_int)
+    monkeypatch.setattr(boundvalue, "decimal", no_int)
+    gl_jordan_bound.cache_clear()
+    n = calc._GL_DECIMAL_N
+    text = calc.gl_jordan_decimal(n)
+    assert gl_jordan_bound.cache_info().misses == 0
+    monkeypatch.undo()
+    assert text == decimal(gl_jordan_bound(n))
+
+
+def test_gl_jordan_bound_past_the_constant_is_an_int_computed_once(monkeypatch):
+    calls = []
+    floor_mpd = calc._gl_floor_mpd
+    monkeypatch.setattr(calc, "_gl_floor_mpd", lambda n: calls.append(n) or floor_mpd(n))
+    gl_jordan_bound.cache_clear()
+    n = calc._GL_DECIMAL_N
+    first, second = gl_jordan_bound(n), gl_jordan_bound(n)
+    assert type(first) is int and first is second and calls == [n]
+    info = gl_jordan_bound.cache_info()
+    assert info.misses == 1 and info.hits == 1
+
+
+# --- a lower bound from below: S_{n+1} in GL_n ------------------------------
+
+
+def largest_abelian_order_in_symmetric(m):
+    """The largest order of an abelian subgroup of S_m (Burns and Goldsmith,
+    Bull. LMS 21, 1989): 3^k, 4 * 3^(k-1) or 2 * 3^k for m = 3k, 3k+1, 3k+2."""
+    if m <= 1:
+        return 1
+    k, rest = divmod(m, 3)
+    return (3 ** k, 4 * 3 ** k // 3, 2 * 3 ** k)[rest]
+
+
+def symmetric_group(m):
+    return permgroups.closure([permgroups.Permutation.from_cycles("(1 2)", m),
+                               permgroups.Permutation.from_cycles(
+                                   "(" + " ".join(map(str, range(1, m + 1))) + ")", m)])
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_burns_goldsmith_matches_the_finite_oracle(m):
+    group = symmetric_group(m)
+    assert group.order == math.factorial(m)
+    assert permgroups.max_abelian_order(group) == largest_abelian_order_in_symmetric(m)
+
+
+@pytest.mark.parametrize("n", list(range(65)) + [calc._GL_DECIMAL_N - 1, calc._GL_DECIMAL_N,
+                                                 calc._GL_DECIMAL_N + 1])
+def test_gl_bound_is_at_least_the_jordan_index_of_a_symmetric_group(n):
+    # S_{n+1} acts faithfully on the sum-zero hyperplane of its permutation
+    # representation, so it lies in GL_n, and its abelian subgroups have
+    # index at least (n+1)! / a(n+1)
+    order, abelian = math.factorial(n + 1), largest_abelian_order_in_symmetric(n + 1)
+    assert order % abelian == 0
+    assert order // abelian <= gl_jordan_bound(n)
 
 
 def test_gl_jordan_bound_is_computed_once_per_n():

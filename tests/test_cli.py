@@ -531,7 +531,10 @@ COLD_CASES = [
     (["catalog"], _NOT_CALCULUS),
     (["nfun", "--dim", "12"], _NOT_CALCULUS),
     (["enumerate", "--json", "--dim", "12"], _NOT_CALCULUS),
-    (["cnbound", "--n", "64"], _NOT_ENUMERATION),
+    # below calculus._GL_DECIMAL_N a value under the int -> str split loads
+    # no libmpdec
+    (["cnbound", "--n", "64"], _NOT_ENUMERATION + ("decimal",)),
+    (["cnbound", "--n", "200"], _NOT_ENUMERATION),  # the libmpdec path
     (["minkowski", "--n", "64"], _NOT_ENUMERATION),
     (["sbound", "--dim", "12"], _NOT_DSL_OR_FINITE),
     (["bound", "dsl", "--expr", "semisimple([A1,A1,A1,A1,A1],sc)"],

@@ -208,6 +208,36 @@ def test_embedding_dim_values():
         0, 0, 0, 3, 3, 3, 6, 6, 8, 9, 9, 11, 16, 16, 16, 32, 32, 32, 64, 64, 64]
 
 
+def _is_product_kernel(base, kernel):
+    """Whether a kernel mask is the product of its parts inside each simple
+    factor's block of the center."""
+    moduli = base.center_moduli
+    members = []
+    for code in range(base.center_order):
+        if kernel >> code & 1:
+            coords = []
+            for m in reversed(moduli):
+                code, c = divmod(code, m)
+                coords.append(c)
+            members.append(coords[::-1])
+    size = 1
+    for lo, hi in base.center_blocks:
+        size *= sum(1 for x in members if not any(x[:lo]) and not any(x[hi:]))
+    return size == len(members)
+
+
+def test_embedding_dim_with_product_kernels_only():
+    # the alternative to the pinned E(16) = 15 of acceptance criterion 5b:
+    # with mixed central kernels excluded, E(16) is 16 (PGL3 x PGL3 needs
+    # 8 + 8), and the sequence reaches 15 only at n = 15
+    seq = []
+    for n in range(21):
+        seq.append(max([d for base in enumerate_semisimple(n) if not base.is_trivial
+                        for kernel, d in enumeration._faithful_dims(base, DEFAULT_CAPS).items()
+                        if _is_product_kernel(base, kernel)], default=0))
+    assert seq == [0, 0, 0, 3, 3, 3, 6, 6, 8, 9, 9, 11, 12, 12, 14, 15, 16, 17, 18, 19, 20]
+
+
 def test_embedding_dim_monotone():
     values = [embedding_dim(n) for n in range(17)]
     assert all(a <= b for a, b in zip(values, values[1:]))
